@@ -24,8 +24,8 @@ print("cone rays:", wedge.rays)
 print("dual generators:", wedge.dual_generators())
 print("Hilbert basis of the dual monoid:", wedge.hilbert_basis)
 print("lattice index:", cone_index(wedge), "| smooth:", cone_is_smooth(wedge))
-for lhs, rhs in wedge.relations(max_degree=2):
-    print("binomial relation:", lhs, "=", rhs)
+relations = wedge.relations()
+print(len(relations), "binomial relations up to degree 6, the first:", relations[0])
 
 print("\nfaces of the wedge:")
 for f in wedge.faces():

@@ -11,9 +11,15 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import ceil, gcd
 
-from .linalg import Matrix, dot, integer_kernel, integer_rank, primitive_vector
+from .linalg import (
+    Matrix,
+    _gauss_jordan,
+    dot,
+    integer_kernel,
+    integer_rank,
+    primitive_vector,
+)
 
 __all__ = [
     "MAX_DIM",
@@ -38,6 +44,7 @@ __all__ = [
 MAX_DIM = 4
 MAX_RAYS = 12
 HILBERT_BOX_LIMIT = 2_000_000
+_RELATION_DEGREE = 6
 
 
 class ZeroCone(ValueError):
@@ -63,7 +70,7 @@ def _as_int_vector(v):
             if x.denominator != 1:
                 raise ValueError(f"non-integer coordinate in {v}")
             out.append(int(x))
-        elif isinstance(x, int):
+        elif isinstance(x, int) and not isinstance(x, bool):
             out.append(x)
         else:
             raise ValueError(f"non-integer coordinate in {v}")
@@ -153,22 +160,7 @@ def _reduce_mod_lattice(ray, basis):
         return primitive_vector(ray)
     work = [list(map(Fraction, b)) for b in basis]
     vec = list(map(Fraction, ray))
-    pivots = []
-    row = 0
-    for col in range(len(vec)):
-        piv = next((i for i in range(row, len(work)) if work[i][col]), None)
-        if piv is None:
-            continue
-        work[row], work[piv] = work[piv], work[row]
-        inv = 1 / work[row][col]
-        work[row] = [x * inv for x in work[row]]
-        for i in range(len(work)):
-            if i != row and work[i][col]:
-                f = work[i][col]
-                work[i] = [a - f * b for a, b in zip(work[i], work[row])]
-        pivots.append((row, col))
-        row += 1
-    for r, col in pivots:
+    for r, col in enumerate(_gauss_jordan(work, len(vec))):
         if vec[col]:
             f = vec[col]
             vec = [a - f * b for a, b in zip(vec, work[r])]
@@ -360,15 +352,15 @@ class Cone:
         assert _weighted_sum(coeffs, self.dim) == tuple(m)
         return coeffs
 
-    def relations(self, max_degree: int = 6):
-        """Binomial relations among Hilbert elements up to a total degree.
+    def relations(self):
+        """Binomial relations among Hilbert elements up to total degree 6.
 
         Each relation is a pair of exponent dicts with equal weighted sums.
         """
         if self._relations is None:
             hb = self.hilbert_basis
             buckets = {}
-            for size in range(max_degree + 1):
+            for size in range(_RELATION_DEGREE + 1):
                 for combo in itertools.combinations_with_replacement(hb, size):
                     total = tuple(sum(c[k] for c in combo) for k in range(self.dim))
                     buckets.setdefault(total, []).append(combo)
@@ -432,34 +424,14 @@ def _solve_integer(mat: Matrix, target):
     """Integer solution x of mat @ x = target, or None."""
     if mat.ncols == 0:
         return () if not any(target) else None
-    aug = [list(r) for r in mat.rows]
-    n, k = len(aug), mat.ncols
-    a = [[Fraction(aug[i][j]) for j in range(k)] for i in range(n)]
-    b = [Fraction(t) for t in target]
-    row = 0
-    piv_cols = []
-    for col in range(k):
-        piv = next((i for i in range(row, n) if a[i][col]), None)
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        b[row], b[piv] = b[piv], b[row]
-        inv = 1 / a[row][col]
-        a[row] = [x * inv for x in a[row]]
-        b[row] *= inv
-        for i in range(n):
-            if i != row and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[row])]
-                b[i] -= f * b[row]
-        piv_cols.append(col)
-        row += 1
-    for i in range(row, n):
-        if b[i]:
-            return None
+    k = mat.ncols
+    rows = [[Fraction(x) for x in r] + [Fraction(t)] for r, t in zip(mat.rows, target)]
+    piv_cols = _gauss_jordan(rows, k)
+    if any(r[k] for r in rows[len(piv_cols):]):
+        return None
     x = [Fraction(0)] * k
     for r, col in enumerate(piv_cols):
-        x[col] = b[r]
+        x[col] = rows[r][k]
     if any(v.denominator != 1 for v in x):
         return None
     return tuple(int(v) for v in x)

@@ -2,8 +2,12 @@
 
 Matrices are immutable tuples of tuples.  Entries may be ``Fraction`` or
 ``RatFun``; integer input is coerced to ``Fraction``.  Everything is exact:
-Gaussian elimination never pivots for numerical stability, only for
-non-vanishing.
+elimination never pivots for numerical stability, only for non-vanishing.
+
+One Gauss-Jordan kernel, ``_gauss_jordan``, does the elimination for
+``Matrix.inverse`` (on ``[A | I]``), ``integer_rank`` and the lattice
+helpers in ``cones``.  ``Matrix.det`` keeps its own forward elimination
+because it needs the product of the pivots, which the kernel normalizes away.
 """
 
 from __future__ import annotations
@@ -189,24 +193,38 @@ class Matrix:
         if self.nrows != self.ncols:
             raise ValueError("inverse of a non-square matrix")
         n = self.nrows
-        a = [list(r) for r in self.rows]
-        b = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-        for k in range(n):
-            piv = next((i for i in range(k, n) if a[i][k]), None)
-            if piv is None:
-                raise ZeroDivisionError("matrix is singular")
-            if piv != k:
-                a[k], a[piv] = a[piv], a[k]
-                b[k], b[piv] = b[piv], b[k]
-            inv = 1 / a[k][k]
-            a[k] = [x * inv for x in a[k]]
-            b[k] = [x * inv for x in b[k]]
-            for i in range(n):
-                if i != k and a[i][k]:
-                    f = a[i][k]
-                    a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-                    b[i] = [x - f * y for x, y in zip(b[i], b[k])]
-        return Matrix(b)
+        rows = [
+            list(r) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
+            for i, r in enumerate(self.rows)
+        ]
+        if len(_gauss_jordan(rows, n)) < n:
+            raise ZeroDivisionError("matrix is singular")
+        return Matrix([r[n:] for r in rows])
+
+
+def _gauss_jordan(rows, ncols):
+    """Reduce a list of row lists in place to reduced row echelon form.
+
+    Pivots are sought in the first ``ncols`` columns only; any further
+    (augmented) columns are carried along by the same row operations.
+    Returns the pivot columns, so the pivot of column ``pivots[r]`` sits in
+    row ``r`` and the rank is ``len(pivots)``.
+    """
+    pivots = []
+    for col in range(ncols):
+        row = len(pivots)
+        piv = next((i for i in range(row, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[row], rows[piv] = rows[piv], rows[row]
+        inv = 1 / rows[row][col]
+        rows[row] = [x * inv for x in rows[row]]
+        for i in range(len(rows)):
+            if i != row and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[row])]
+        pivots.append(col)
+    return pivots
 
 
 def _int_rows(m: Matrix):
@@ -312,25 +330,7 @@ def smith_normal_form(m: Matrix):
 
 def integer_rank(m: Matrix) -> int:
     a = [[Fraction(x) for x in r] for r in _int_rows(m)]
-    nr, nc = len(a), len(a[0]) if a else 0
-    rank = 0
-    row = 0
-    for col in range(nc):
-        piv = next((i for i in range(row, nr) if a[i][col]), None)
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        inv = 1 / a[row][col]
-        a[row] = [x * inv for x in a[row]]
-        for i in range(nr):
-            if i != row and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[row])]
-        rank += 1
-        row += 1
-        if row == nr:
-            break
-    return rank
+    return len(_gauss_jordan(a, m.ncols))
 
 
 def integer_kernel(m: Matrix):

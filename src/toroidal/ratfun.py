@@ -127,9 +127,6 @@ def _pgcd(a, b):
     return _pmonic(tuple(Fraction(c) for c in ia))
 
 
-_SUP = {"0": "", "1": ""}
-
-
 def _pstr(a) -> str:
     if not a:
         return "0"

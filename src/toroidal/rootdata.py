@@ -112,7 +112,7 @@ class RootDatum:
                 raise ValueError("Cartan matrix diagonal must be 2")
             for j in range(l):
                 x = rows[i][j]
-                if not isinstance(x, int):
+                if not isinstance(x, int) or isinstance(x, bool):
                     raise ValueError("Cartan matrix entries must be integers")
                 if i != j:
                     if x > 0:

@@ -36,7 +36,10 @@ def load_root_datum(data: dict) -> RootDatum:
     if "cartan_matrix" in data:
         return RootDatum(data["cartan_matrix"])
     if "type" in data and "rank" in data:
-        return RootDatum(cartan_matrix_of_type(data["type"], int(data["rank"])))
+        rank = data["rank"]
+        if not isinstance(rank, int) or isinstance(rank, bool):
+            raise ValueError(f"rank must be an integer, got {rank!r}")
+        return RootDatum(cartan_matrix_of_type(data["type"], rank))
     raise ValueError('root datum needs "cartan_matrix" or "type" and "rank"')
 
 

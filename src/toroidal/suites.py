@@ -30,17 +30,6 @@ from .rootdata import RootDatum
 
 __all__ = ["SUITE_NAMES", "UnknownSuite", "PropertyResult", "VerificationReport", "run_suite"]
 
-SUITE_NAMES = (
-    "signs",
-    "f_i",
-    "theta",
-    "action",
-    "equivalence",
-    "functoriality",
-    "limits",
-)
-
-
 class UnknownSuite(ValueError):
     pass
 
@@ -117,73 +106,93 @@ def _boundary_charts(calc: Calculus, rng, count: int):
     return out
 
 
+# -- sampling ------------------------------------------------------------------
+
+# returned by a trial whose draw must be redrawn
+_SKIP = object()
+
+
+def _sample(name: str, cases: int, trial, attempts: int = 20) -> PropertyResult:
+    """Call trial() until `cases` draws are decided, at most cases * attempts times.
+
+    A trial returns None when its case passes, a counterexample string when
+    it fails, and _SKIP when the draw must be redrawn.  The property passes
+    when nothing failed and all `cases` draws were decided; the first
+    counterexample is kept.
+    """
+    done = fails = 0
+    ce = None
+    for _ in range(cases * attempts):
+        if done >= cases:
+            break
+        out = trial()
+        if out is _SKIP:
+            continue
+        done += 1
+        if out is not None:
+            fails += 1
+            ce = ce or out
+    return PropertyResult(name, fails == 0 and done >= cases, done, ce)
+
+
+def _each(name: str, items, check) -> PropertyResult:
+    """Check every item once: a sample whose cases are the items."""
+    it = iter(items)
+    return _sample(name, len(items), lambda: check(next(it)))
+
+
 # -- individual suites ---------------------------------------------------------
 
 
 def _suite_signs(rank: int, cases: int, seed: int):
     calc = _calculus(rank)
     table = calc.signs
-    bad = [(k, v) for k, v in table.items() if v not in (1, -1)]
-    props = [
-        PropertyResult(
-            "signs_are_units",
-            not bad,
-            len(table),
-            None if not bad else f"{bad[0]}",
-        )
+
+    def unit(kv):
+        return None if kv[1] in (1, -1) else f"{kv}"
+
+    def own_root(key):
+        return None if table[key] == -1 else f"{(*key, table[key])}"
+
+    own = [
+        (i, tuple(s * x for x in calc.rd.simple_root(i)))
+        for i in range(rank)
+        for s in (1, -1)
     ]
-    bad_simple = []
-    for i in range(rank):
-        for s in (1, -1):
-            root = tuple(s * x for x in calc.rd.simple_root(i))
-            if table[(i, root)] != -1:
-                bad_simple.append((i, root, table[(i, root)]))
-    props.append(
-        PropertyResult(
-            "own_root_sign_is_minus_one",
-            not bad_simple,
-            2 * rank,
-            None if not bad_simple else f"{bad_simple[0]}",
-        )
-    )
-    return props
+    return [
+        _each("signs_are_units", list(table.items()), unit),
+        _each("own_root_sign_is_minus_one", own, own_root),
+    ]
 
 
 def _suite_f_i(rank: int, cases: int, seed: int):
     calc = _calculus(rank)
     pin = calc.pinning
     zero = _zero_cone(rank)
-    props = []
 
     rng = _rng(seed, "f_i", "torus_conjugation")
-    done = fails = 0
-    ce = None
-    for _ in range(cases * 20):
-        if done >= cases:
-            break
+
+    def torus_conjugation():
         um, up = _random_unipotents(calc, rng)
         p = MixedPoint(um, torus_point(_torus_coords(rng, rank), zero), up)
         i = rng.randrange(rank)
         try:
             q = calc.reflect_simple(p, i)
         except OutsideDomain:
-            continue
+            return _SKIP
         n_i = pin.simple_reflection_element(i)
         expected = n_i @ calc.to_matrix(p) @ n_i.inverse()
-        done += 1
         if calc.to_matrix(q) != expected:
-            fails += 1
-            ce = ce or f"i={i}, point={p!r}"
-    props.append(PropertyResult("torus_conjugation", fails == 0 and done >= cases, done, ce))
+            return f"i={i}, point={p!r}"
+        return None
+
+    props = [_sample("torus_conjugation", cases, torus_conjugation)]
 
     rng = _rng(seed, "f_i", "boundary_slots")
     chamber = calc.rd.negative_chamber()
     base = limit_point(interior_cocharacter(chamber), chamber)
-    done = fails = 0
-    ce = None
-    for _ in range(cases * 20):
-        if done >= cases:
-            break
+
+    def boundary_slots():
         i = rng.randrange(rank)
         x = _nonzero_fraction(rng)
         y = _nonzero_fraction(rng)
@@ -193,52 +202,43 @@ def _suite_f_i(rank: int, cases: int, seed: int):
             pin.root_element(minus_a_i, x), base, pin.root_element(a_i, y)
         )
         q = calc.reflect_simple(p, i)
-        done += 1
         ok = (
             q.u_minus == pin.root_element(minus_a_i, -1 / x)
             and q.u_plus == pin.root_element(a_i, -1 / y)
             and all(v == 0 for v in q.chart.values.values())
         )
-        if not ok:
-            fails += 1
-            ce = ce or f"i={i}, x={x}, y={y}"
-    props.append(PropertyResult("boundary_slots", fails == 0 and done >= cases, done, ce))
+        return None if ok else f"i={i}, x={x}, y={y}"
+
+    props.append(_sample("boundary_slots", cases, boundary_slots))
 
     rng = _rng(seed, "f_i", "double_reflection")
-    done = fails = 0
-    ce = None
-    for _ in range(cases * 20):
-        if done >= cases:
-            break
+
+    def double_reflection():
         um, up = _random_unipotents(calc, rng)
         p = MixedPoint(um, torus_point(_torus_coords(rng, rank), zero), up)
         i = rng.randrange(rank)
         try:
             q = calc.reflect_simple(calc.reflect_simple(p, i), i)
         except OutsideDomain:
-            continue
+            return _SKIP
         n_sq = pin.simple_reflection_element(i)
         n_sq = n_sq @ n_sq
-        done += 1
         if calc.to_matrix(q) != n_sq @ calc.to_matrix(p) @ n_sq.inverse():
-            fails += 1
-            ce = ce or f"i={i}, point={p!r}"
-    props.append(PropertyResult("double_reflection", fails == 0 and done >= cases, done, ce))
+            return f"i={i}, point={p!r}"
+        return None
+
+    props.append(_sample("double_reflection", cases, double_reflection))
     return props
 
 
 def _suite_theta(rank: int, cases: int, seed: int):
     calc = _calculus(rank)
-    zero = _zero_cone(rank)
-    props = []
+    ident = calc.pinning.identity()
+    cone_pool = [_zero_cone(rank)] + [c for c in chamber_cones(calc.rd)]
 
     rng = _rng(seed, "theta", "torus_agreement")
-    done = fails = 0
-    ce = None
-    cone_pool = [zero] + [c for c in chamber_cones(calc.rd)]
-    for _ in range(cases * 20):
-        if done >= cases:
-            break
+
+    def torus_agreement():
         um, up = _random_unipotents(calc, rng)
         cone = rng.choice(cone_pool)
         chart = torus_point(_torus_coords(rng, rank), cone)
@@ -246,37 +246,28 @@ def _suite_theta(rank: int, cases: int, seed: int):
             got = calc.reorder(up, chart, um)
             want = calc.reorder_direct(up, chart, um)
         except OutsideDomain:
-            continue
-        done += 1
-        if got != want:
-            fails += 1
-            ce = ce or f"cone={cone!r}, chart={chart!r}"
-    props.append(PropertyResult("torus_agreement", fails == 0 and done >= cases, done, ce))
+            return _SKIP
+        return None if got == want else f"cone={cone!r}, chart={chart!r}"
+
+    props = [_sample("torus_agreement", cases, torus_agreement)]
 
     rng = _rng(seed, "theta", "boundary_identity")
-    ident = calc.pinning.identity()
-    done = fails = 0
-    ce = None
-    for chart in _boundary_charts(calc, rng, cases):
+
+    def boundary_identity(chart):
+        # a domain miss on the identity is a failure, not a redraw
         try:
             got = calc.reorder(ident, chart, ident)
         except OutsideDomain as e:
-            fails += 1
-            ce = ce or f"chart={chart!r}: {e}"
-            done += 1
-            continue
-        done += 1
-        if got != MixedPoint(ident, chart, ident):
-            fails += 1
-            ce = ce or f"chart={chart!r}"
-    props.append(PropertyResult("boundary_identity", fails == 0, done, ce))
+            return f"chart={chart!r}: {e}"
+        return None if got == MixedPoint(ident, chart, ident) else f"chart={chart!r}"
+
+    props.append(
+        _each("boundary_identity", _boundary_charts(calc, rng, cases), boundary_identity)
+    )
 
     rng = _rng(seed, "theta", "torus_equivariance")
-    done = fails = 0
-    ce = None
-    for _ in range(cases * 20):
-        if done >= cases:
-            break
+
+    def torus_equivariance():
         um, up = _random_unipotents(calc, rng)
         chart = rng.choice(_boundary_charts(calc, rng, 1) + [
             torus_point(_torus_coords(rng, rank), rng.choice(cone_pool))
@@ -288,17 +279,15 @@ def _suite_theta(rank: int, cases: int, seed: int):
             plain = calc.reorder(up, chart, um)
             moved = calc.reorder(tm @ up @ tm_inv, torus_translate(t, chart), um)
         except OutsideDomain:
-            continue
-        done += 1
+            return _SKIP
         expected = MixedPoint(
             tm @ plain.u_minus @ tm_inv,
             torus_translate(t, plain.chart),
             plain.u_plus,
         )
-        if moved != expected:
-            fails += 1
-            ce = ce or f"t={t}, chart={chart!r}"
-    props.append(PropertyResult("torus_equivariance", fails == 0 and done >= cases, done, ce))
+        return None if moved == expected else f"t={t}, chart={chart!r}"
+
+    props.append(_sample("torus_equivariance", cases, torus_equivariance))
     return props
 
 
@@ -306,14 +295,10 @@ def _suite_action(rank: int, cases: int, seed: int):
     calc = _calculus(rank)
     pin = calc.pinning
     zero = _zero_cone(rank)
-    props = []
 
     rng = _rng(seed, "action", "torus_agreement")
-    done = fails = 0
-    ce = None
-    for _ in range(cases * 20):
-        if done >= cases:
-            break
+
+    def torus_agreement():
         um, up = _random_unipotents(calc, rng)
         p = MixedPoint(um, torus_point(_torus_coords(rng, rank), zero), up)
         g1 = random_element(pin, rng)
@@ -322,39 +307,33 @@ def _suite_action(rank: int, cases: int, seed: int):
             got = calc.act(g1, p, g2)
             want = calc.act_direct(g1, p, g2)
         except OutsideDomain:
-            continue
-        done += 1
-        if got != want:
-            fails += 1
-            ce = ce or f"g1={g1!r}, g2={g2!r}, p={p!r}"
-    props.append(PropertyResult("torus_agreement", fails == 0 and done >= cases, done, ce))
+            return _SKIP
+        return None if got == want else f"g1={g1!r}, g2={g2!r}, p={p!r}"
+
+    props = [_sample("torus_agreement", cases, torus_agreement)]
 
     rng = _rng(seed, "action", "boundary_identity")
     ident = pin.identity()
-    done = fails = 0
-    ce = None
-    for chart in _boundary_charts(calc, rng, cases):
+
+    def boundary_identity(chart):
         um, up = _random_unipotents(calc, rng)
         p = MixedPoint(um, chart, up)
+        # a domain miss on the identity is a failure, not a redraw
         try:
             got = calc.act(ident, p, ident)
         except OutsideDomain as e:
-            fails += 1
-            ce = ce or f"chart={chart!r}: {e}"
-            done += 1
-            continue
-        done += 1
-        if got != p:
-            fails += 1
-            ce = ce or f"chart={chart!r}"
-    props.append(PropertyResult("boundary_identity", fails == 0, done, ce))
+            return f"chart={chart!r}: {e}"
+        return None if got == p else f"chart={chart!r}"
+
+    props.append(
+        _each("boundary_identity", _boundary_charts(calc, rng, cases), boundary_identity)
+    )
     return props
 
 
 def _suite_equivalence(rank: int, cases: int, seed: int):
     calc = _calculus(rank)
     pin = calc.pinning
-    props = []
     chamber = calc.rd.negative_chamber()
 
     def random_point(rng):
@@ -365,35 +344,27 @@ def _suite_equivalence(rank: int, cases: int, seed: int):
         )
 
     rng = _rng(seed, "equivalence", "equivalent_detected")
-    done = fails = 0
-    ce = None
-    for _ in range(cases * 20):
-        if done >= cases:
-            break
+
+    def equivalent_detected():
         w = random_point(rng)
         g1, g2 = random_element(pin, rng), random_element(pin, rng)
         c1, c2 = random_element(pin, rng), random_element(pin, rng)
         try:
             w2 = calc.act(c1, w, c2)
         except OutsideDomain:
-            continue
+            return _SKIP
         a = (g1, w, g2)
         b = (g1 @ c1.inverse(), w2, g2 @ c2.inverse())
         verdict = calc.check_equivalence(a, b, witness_budget=8, seed=rng.randrange(10**6))
         if verdict.kind == "inconclusive":
-            continue
-        done += 1
-        if verdict.kind != "equivalent":
-            fails += 1
-            ce = ce or f"witness={verdict.witness!r}"
-    props.append(PropertyResult("equivalent_detected", fails == 0 and done >= cases, done, ce))
+            return _SKIP
+        return None if verdict.kind == "equivalent" else f"witness={verdict.witness!r}"
+
+    props = [_sample("equivalent_detected", cases, equivalent_detected)]
 
     rng = _rng(seed, "equivalence", "inequivalent_detected")
-    done = fails = 0
-    ce = None
-    for _ in range(cases * 20):
-        if done >= cases:
-            break
+
+    def inequivalent_detected():
         w = random_point(rng)
         g1, g2 = random_element(pin, rng), random_element(pin, rng)
         # translating only one unipotent leg changes the point
@@ -406,49 +377,38 @@ def _suite_equivalence(rank: int, cases: int, seed: int):
             (g1, w, g2), (g1, w2, g2), witness_budget=8, seed=rng.randrange(10**6)
         )
         if verdict.kind == "inconclusive":
-            continue
-        done += 1
-        if verdict.kind != "not_equivalent":
-            fails += 1
-            ce = ce or f"witness={verdict.witness!r}"
-    props.append(PropertyResult("inequivalent_detected", fails == 0 and done >= cases, done, ce))
+            return _SKIP
+        return None if verdict.kind == "not_equivalent" else f"witness={verdict.witness!r}"
+
+    props.append(_sample("inequivalent_detected", cases, inequivalent_detected))
     return props
 
 
 def _suite_functoriality(rank: int, cases: int, seed: int):
     calc = _calculus(rank)
     cones = chamber_cones(calc.rd)
-    props = []
 
-    done = fails = 0
-    ce = None
-    for sigma in cones:
-        for tau in sigma.faces():
-            u = face_witness(tau, sigma)
-            done += 1
-            if u is None:
-                fails += 1
-                ce = ce or f"no witness for {tau!r} in {sigma!r}"
-                continue
-            tau_set = set(tau.rays)
-            ok = all(dot(u, r) == 0 for r in tau.rays)
-            ok = ok and all(dot(u, r) > 0 for r in sigma.rays if r not in tau_set)
-            try:
-                sigma.monoid_decompose(u)
-            except Exception:
-                ok = False
-            if not ok:
-                fails += 1
-                ce = ce or f"witness {u} for {tau!r} in {sigma!r}"
-    props.append(PropertyResult("face_witness_invariants", fails == 0, done, ce))
+    def face_witness_invariants(tau_sigma):
+        tau, sigma = tau_sigma
+        u = face_witness(tau, sigma)
+        if u is None:
+            return f"no witness for {tau!r} in {sigma!r}"
+        tau_set = set(tau.rays)
+        ok = all(dot(u, r) == 0 for r in tau.rays)
+        ok = ok and all(dot(u, r) > 0 for r in sigma.rays if r not in tau_set)
+        try:
+            sigma.monoid_decompose(u)
+        except Exception:
+            ok = False
+        return None if ok else f"witness {u} for {tau!r} in {sigma!r}"
+
+    pairs = [(tau, sigma) for sigma in cones for tau in sigma.faces()]
+    props = [_each("face_witness_invariants", pairs, face_witness_invariants)]
 
     rng = _rng(seed, "functoriality", "inclusion_composition")
-    done = fails = 0
-    ce = None
     full = [c for c in cones if len(c.rays) >= 2] or cones
-    for _ in range(cases * 20):
-        if done >= cases:
-            break
+
+    def inclusion_composition():
         sigma = rng.choice(full)
         mids = [m for m in sigma.faces()]
         mu = rng.choice(mids)
@@ -464,38 +424,34 @@ def _suite_functoriality(rank: int, cases: int, seed: int):
                     _torus_coords(rng, rank),
                     limit_point(interior_cocharacter(tau), tau),
                 )
-        done += 1
         via = chart_inclusion(chart_inclusion(p, mu), sigma)
         direct = chart_inclusion(p, sigma)
-        if via != direct:
-            fails += 1
-            ce = ce or f"tau={tau!r}, mu={mu!r}, sigma={sigma!r}"
-    props.append(PropertyResult("inclusion_composition", fails == 0 and done >= cases, done, ce))
+        return None if via == direct else f"tau={tau!r}, mu={mu!r}, sigma={sigma!r}"
+
+    props.append(_sample("inclusion_composition", cases, inclusion_composition))
 
     rng = _rng(seed, "functoriality", "inclusion_on_torus")
-    done = fails = 0
-    ce = None
-    for _ in range(cases):
+
+    def inclusion_on_torus():
         sigma = rng.choice(full)
         tau = rng.choice(list(sigma.faces()))
         coords = _torus_coords(rng, rank)
-        done += 1
         if chart_inclusion(torus_point(coords, tau), sigma) != torus_point(coords, sigma):
-            fails += 1
-            ce = ce or f"coords={coords}, tau={tau!r}, sigma={sigma!r}"
-    props.append(PropertyResult("inclusion_on_torus", fails == 0, done, ce))
+            return f"coords={coords}, tau={tau!r}, sigma={sigma!r}"
+        return None
+
+    props.append(_sample("inclusion_on_torus", cases, inclusion_on_torus))
     return props
 
 
 def _suite_limits(rank: int, cases: int, seed: int):
     calc = _calculus(rank)
-    props = []
+    pin = calc.pinning
     cones = [c for c in chamber_cones(calc.rd) if not c.is_zero()]
 
     rng = _rng(seed, "limits", "curve_specialization")
-    done = fails = 0
-    ce = None
-    for _ in range(cases):
+
+    def curve_specialization():
         cone = rng.choice(cones)
         delta = [0] * rank
         for r in cone.rays:
@@ -504,47 +460,35 @@ def _suite_limits(rank: int, cases: int, seed: int):
         if not any(delta):
             delta = list(cone.rays[0])
         coords = tuple(EPS ** d for d in delta)
-        done += 1
         got = specialize_at_zero(torus_point(coords, cone))
         want = limit_point(tuple(delta), cone)
-        if got != want:
-            fails += 1
-            ce = ce or f"delta={tuple(delta)}, cone={cone!r}"
-    props.append(PropertyResult("curve_specialization", fails == 0, done, ce))
+        return None if got == want else f"delta={tuple(delta)}, cone={cone!r}"
+
+    props = [_sample("curve_specialization", cases, curve_specialization)]
 
     rng = _rng(seed, "limits", "no_limit_outside")
-    done = fails = 0
-    ce = None
-    for _ in range(cases * 20):
-        if done >= cases:
-            break
+
+    def no_limit_outside():
         cone = rng.choice(cones)
         delta = tuple(rng.randint(-3, 3) for _ in range(rank))
         if cone.contains(delta):
-            continue
-        done += 1
+            return _SKIP
         try:
             limit_point(delta, cone)
-            fails += 1
-            ce = ce or f"limit_point accepted delta={delta} for {cone!r}"
-            continue
+            return f"limit_point accepted delta={delta} for {cone!r}"
         except LimitDoesNotExist:
             pass
         try:
             specialize_at_zero(torus_point(tuple(EPS ** d for d in delta), cone))
-            fails += 1
-            ce = ce or f"specialization accepted delta={delta} for {cone!r}"
+            return f"specialization accepted delta={delta} for {cone!r}"
         except PoleAtZero:
-            pass
-    props.append(PropertyResult("no_limit_outside", fails == 0 and done >= cases, done, ce))
+            return None
+
+    props.append(_sample("no_limit_outside", cases, no_limit_outside))
 
     rng = _rng(seed, "limits", "constructions_commute")
-    pin = calc.pinning
-    done = fails = 0
-    ce = None
-    for _ in range(cases * 40):
-        if done >= cases:
-            break
+
+    def constructions_commute():
         cone = rng.choice(cones)
         base = limit_point(interior_cocharacter(cone), cone)
         t_eps = tuple(
@@ -580,12 +524,12 @@ def _suite_limits(rank: int, cases: int, seed: int):
                 point = calc.act(g1, p0, g2)
             curve0 = specialize_mixed(curve)
         except (OutsideDomain, PoleAtZero):
-            continue
-        done += 1
+            return _SKIP
         if curve0 != point:
-            fails += 1
-            ce = ce or f"construction={('f_i', 'theta', 'action')[which]}, cone={cone!r}"
-    props.append(PropertyResult("constructions_commute", fails == 0 and done >= cases, done, ce))
+            return f"construction={('f_i', 'theta', 'action')[which]}, cone={cone!r}"
+        return None
+
+    props.append(_sample("constructions_commute", cases, constructions_commute, attempts=40))
     return props
 
 
@@ -598,6 +542,7 @@ _SUITE_FUNCS = {
     "functoriality": _suite_functoriality,
     "limits": _suite_limits,
 }
+SUITE_NAMES = tuple(_SUITE_FUNCS)
 
 
 def run_suite(name: str, rank: int = 1, cases: int = 25, seed: int = 0) -> VerificationReport:

@@ -216,3 +216,27 @@ def test_hilbert_rejects_non_list(capsys):
     code, _, err = run_cli(["hilbert", "--rays", '{"rays": []}'], capsys)
     assert code == 1
     assert err.startswith("error:")
+
+
+def test_hilbert_rejects_boolean_coordinates(capsys):
+    code, _, err = run_cli(["hilbert", "--rays", "[[true,0]]"], capsys)
+    assert code == 1
+    assert "non-integer" in err
+
+
+@pytest.mark.parametrize(
+    "root, fan",
+    [
+        ({"cartan_matrix": [[2, False], [False, 2]]}, "fan_wedge.json"),
+        ({"type": "A", "rank": 2.7}, "fan_wedge.json"),
+        ({"type": "A", "rank": True}, "fan_a1.json"),
+        ({"type": "A", "rank": "2"}, "fan_wedge.json"),
+    ],
+)
+def test_analyze_rejects_non_integer_root_datum(root, fan, tmp_path, capsys):
+    rd = tmp_path / "rd.json"
+    rd.write_text(json.dumps(root))
+    argv = ["analyze", "--root-datum", rd, "--fan", FIXTURES / fan, "--out", tmp_path / "r.json"]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 1
+    assert "integer" in err

@@ -205,6 +205,14 @@ def test_relations_hold_on_generators():
         assert lhs != rhs
 
 
+def test_relations_have_one_fixed_degree():
+    # a degree knob let the first call's degree stick in the cache
+    c = Cone([(1, 0), (1, 2)])
+    with pytest.raises(TypeError):
+        c.relations(max_degree=2)
+    assert len(c.relations()) == 35
+
+
 # -- faces and witnesses --------------------------------------------------
 
 

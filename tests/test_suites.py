@@ -1,6 +1,8 @@
 import pytest
 
-from toroidal.suites import SUITE_NAMES, UnknownSuite, run_suite
+import toroidal.cli as cli
+from toroidal.bigcell import Calculus, DomainReport, OutsideDomain
+from toroidal.suites import SUITE_NAMES, PropertyResult, UnknownSuite, run_suite
 
 
 def test_unknown_suite_rejected():
@@ -39,3 +41,18 @@ def test_rank_two_suites_pass():
     for name in ("f_i", "theta", "action", "limits"):
         report = run_suite(name, rank=2, cases=3, seed=5)
         assert report.all_pass, (name, report.properties)
+
+
+def test_starved_property_fails_without_counterexample(monkeypatch, capsys):
+    def outside(self, *args):
+        raise OutsideDomain(DomainReport("act_direct", "a forced miss", "test"))
+
+    monkeypatch.setattr(Calculus, "act_direct", outside)
+    report = run_suite("action", rank=1, cases=2, seed=0)
+    props = {p.name: p for p in report.properties}
+    # every draw was redrawn, so no case was decided and none failed
+    assert props["torus_agreement"] == PropertyResult("torus_agreement", False, 0, None)
+    assert props["boundary_identity"].passed
+    assert cli.main(["verify", "--suite", "action", "--rank", "1", "--cases", "2"]) == 4
+    capsys.readouterr()
+
