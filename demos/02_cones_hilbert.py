@@ -3,9 +3,12 @@
 Each chart of an embedding is governed by the monoid of lattice characters
 that are nonnegative on a cone; its Hilbert basis is the minimal chart
 coordinate system, and binomial relations between basis elements cut out
-the chart as an affine variety.
+the chart as an affine variety.  A point of the chart is a monoid map: it is
+nonzero exactly on the basis elements of one face, and there it satisfies a
+lattice basis of the relations among them.
 """
 
+from toroidal.charts import ChartPoint, InvalidChartValues
 from toroidal.cones import (
     Cone,
     Fan,
@@ -24,8 +27,13 @@ print("cone rays:", wedge.rays)
 print("dual generators:", wedge.dual_generators())
 print("Hilbert basis of the dual monoid:", wedge.hilbert_basis)
 print("lattice index:", cone_index(wedge), "| smooth:", cone_is_smooth(wedge))
-relations = wedge.relations()
-print(len(relations), "binomial relations up to degree 6, the first:", relations[0])
+# the basis is (0,1), (1,0), (2,-1), tied by the relation 2*(1,0) = (0,1) + (2,-1)
+point = ChartPoint(wedge, {(0, 1): 1, (1, 0): 2, (2, -1): 4})
+print("accepted chart point:", point)
+try:
+    ChartPoint(wedge, {(0, 1): 1, (1, 0): 1, (2, -1): 2})
+except InvalidChartValues as e:
+    print("rejected value map:", e)
 
 print("\nfaces of the wedge:")
 for f in wedge.faces():

@@ -230,7 +230,8 @@ class Calculus:
                 r = self.reflect_longest_inverse(q)
             except OutsideDomain:
                 continue
-            assert r == MixedPoint(um, chart, up), "conjugation round trip must be exact"
+            if r != MixedPoint(um, chart, up):
+                raise RuntimeError("conjugation round trip must be exact")
             found = (um, um.inverse(), up, up.inverse())
             self._anchor_cache[cone] = found
             return found

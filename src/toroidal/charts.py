@@ -3,8 +3,10 @@
 A ChartPoint assigns a field value (Fraction or RatFun) to each Hilbert
 basis element of the dual monoid of its cone.  Boundary points carry
 zeros; torus points are everywhere invertible.  All sanctioned
-constructors preserve the binomial-relation invariant structurally; raw
-value maps are accepted only after the degree-bounded relation check.
+constructors preserve the monoid-map invariant structurally.  A raw value
+map is accepted exactly when it extends to a monoid map: its nonzero
+support is the set of Hilbert elements of one face of the dual cone, and
+its values there satisfy a lattice basis of the relations among them.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from fractions import Fraction
 from math import ceil
 
 from .cones import Cone, NotInMonoid, interior_cocharacter
-from .linalg import dot
+from .linalg import Matrix, dot, integer_kernel
 from .ratfun import RatFun, evaluate_at_zero
 
 __all__ = [
@@ -53,7 +55,7 @@ class ZeroScalar(ValueError):
 
 
 class InvalidChartValues(ValueError):
-    """A raw value map violates a binomial relation of the monoid."""
+    """A raw value map is not a monoid map on the Hilbert basis."""
 
 
 def _as_scalar(x):
@@ -85,11 +87,22 @@ class ChartPoint:
             raise InvalidChartValues("values must be keyed by the Hilbert basis")
         self.cone = cone
         self.values = vals
-        for left, right in cone.relations():
+        # a monoid map is nonzero exactly on the Hilbert elements of one face
+        # of the dual cone: the smallest one containing the sum u of its
+        # support, which the rays orthogonal to u cut out
+        support = [h for h in cone.hilbert_basis if vals[h] != 0]
+        u = tuple(sum(h[k] for h in support) for k in range(cone.dim))
+        face = [r for r in cone.rays if dot(u, r) == 0]
+        on_face = [h for h in cone.hilbert_basis if all(dot(h, r) == 0 for r in face)]
+        if support != on_face:
+            raise InvalidChartValues(f"nonzero values on {support}, not on a face")
+        if not support:
+            return
+        for k in integer_kernel(Matrix(support).transpose()):
+            left = [(h, e) for h, e in zip(support, k) if e > 0]
+            right = [(h, -e) for h, e in zip(support, k) if e < 0]
             if self._monomial(left) != self._monomial(right):
-                raise InvalidChartValues(
-                    f"relation violated: {left} vs {right}"
-                )
+                raise InvalidChartValues(f"relation violated: {left} vs {right}")
 
     @classmethod
     def _trusted(cls, cone: Cone, values) -> "ChartPoint":
@@ -246,7 +259,8 @@ def torus_coordinates(p: ChartPoint):
         for r in cone.rays:
             num = -dot(e_j, r)
             den = dot(w, r)
-            assert den > 0
+            if den <= 0:
+                raise RuntimeError("the dual-ray sum must pair positively with every ray")
             k = max(k, ceil(num / den))
         shifted = tuple(e_j[t] + k * w[t] for t in range(cone.dim))
         val = evaluate_character(p, shifted)

@@ -219,7 +219,8 @@ class Pinning:
                 if abs(self.rd.root_height(b)) == h:
                     coords[b] = coords[b] + (u - current)[self.root_position(b)]
         out = tuple(coords[b] for b in order)
-        assert self.unipotent_product(order, out) == u, "refactor must reassemble"
+        if self.unipotent_product(order, out) != u:
+            raise RuntimeError("refactor must reassemble")
         return out
 
     # -- signs ----------------------------------------------------------------

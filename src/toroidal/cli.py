@@ -102,9 +102,7 @@ def _cmd_hilbert(args) -> int:
         rays = _read_json(args.rays)
     if not isinstance(rays, list):
         raise ValueError("--rays must be a JSON list of integer vectors")
-    if not rays and args.dim is None:
-        raise ValueError("empty ray list needs --dim")
-    cone = Cone(rays, dim=args.dim if not rays else None)
+    cone = Cone(rays, dim=args.dim)
     payload = {
         "dim": cone.dim,
         "rays": [list(r) for r in cone.rays],

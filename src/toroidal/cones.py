@@ -44,7 +44,6 @@ __all__ = [
 MAX_DIM = 4
 MAX_RAYS = 12
 HILBERT_BOX_LIMIT = 2_000_000
-_RELATION_DEGREE = 6
 
 
 class ZeroCone(ValueError):
@@ -171,8 +170,8 @@ def _reduce_mod_lattice(ray, basis):
 class Cone:
     """Strongly convex rational polyhedral cone, canonicalized on build.
 
-    Derived data (dual generators, Hilbert basis, faces, binomial
-    relations) is cached on the instance; all of it is deterministic.
+    Derived data (dual generators, Hilbert basis, faces) is cached on the
+    instance; all of it is deterministic.
     """
 
     def __init__(self, rays, dim=None):
@@ -184,7 +183,7 @@ class Cone:
         if not 1 <= dim <= MAX_DIM:
             raise ValueError(f"dimension must be in 1..{MAX_DIM}")
         if any(len(r) != dim for r in rays):
-            raise ValueError("rays of mixed dimension")
+            raise ValueError(f"every ray must have dimension {dim}")
         if any(not any(r) for r in rays):
             raise ValueError("zero vector is not a ray")
         if len(rays) > MAX_RAYS:
@@ -209,7 +208,6 @@ class Cone:
         self._hilbert = None
         self._hilbert_split = None
         self._faces = None
-        self._relations = None
 
     def __eq__(self, other):
         if not isinstance(other, Cone):
@@ -261,8 +259,8 @@ class Cone:
             # unit group is the first d axes.
             kmat = Matrix([list(k) for k in kernel]).transpose()  # n x d
             u, dd, _ = smith_normal_form(kmat)
-            for t in range(d):
-                assert dd[t, t] == 1, "kernel lattice must be saturated"
+            if any(dd[t, t] != 1 for t in range(d)):
+                raise RuntimeError("kernel lattice must be saturated")
             w = u
             w_inv = integer_inverse(w)
             group_basis = tuple(
@@ -286,9 +284,11 @@ class Cone:
         if q_dim:
             projected = [quotient(r) for r in self.dual_rays]
             facets, facets_lin = generators_from_halfspaces(projected, q_dim)
-            assert not facets_lin, "pointed quotient must have pointed dual"
+            if facets_lin:
+                raise RuntimeError("pointed quotient must have pointed dual")
             extreme, ext_lin = generators_from_halfspaces(facets, q_dim)
-            assert not ext_lin
+            if ext_lin:
+                raise RuntimeError("dual of the pointed quotient must be pointed")
         else:
             facets, extreme = (), ()
         self._hilbert_split = (group_basis, quotient, lift, facets, extreme, q_dim)
@@ -349,30 +349,9 @@ class Cone:
                     coeffs[tuple(-x for x in b)] += -k
         elif any(rem):
             raise NotInMonoid(f"{m} is not in the dual monoid")
-        assert _weighted_sum(coeffs, self.dim) == tuple(m)
+        if _weighted_sum(coeffs, self.dim) != m:
+            raise RuntimeError(f"decomposition of {m} does not sum back to it")
         return coeffs
-
-    def relations(self):
-        """Binomial relations among Hilbert elements up to total degree 6.
-
-        Each relation is a pair of exponent dicts with equal weighted sums.
-        """
-        if self._relations is None:
-            hb = self.hilbert_basis
-            buckets = {}
-            for size in range(_RELATION_DEGREE + 1):
-                for combo in itertools.combinations_with_replacement(hb, size):
-                    total = tuple(sum(c[k] for c in combo) for k in range(self.dim))
-                    buckets.setdefault(total, []).append(combo)
-            rels = []
-            for combos in buckets.values():
-                if len(combos) < 2:
-                    continue
-                base = _exponents(combos[0])
-                for other in combos[1:]:
-                    rels.append((base, _exponents(other)))
-            self._relations = tuple(rels)
-        return self._relations
 
     # -- faces ---------------------------------------------------------------
 
@@ -403,13 +382,6 @@ class Cone:
 
     def faces(self):
         return tuple(Cone(sorted(s), self.dim) for s in self.face_ray_sets())
-
-
-def _exponents(combo):
-    out = {}
-    for h in combo:
-        out[h] = out.get(h, 0) + 1
-    return tuple(sorted(out.items()))
 
 
 def _weighted_sum(coeffs, dim):
@@ -473,32 +445,29 @@ def _pointed_hilbert(facets, extreme, dim):
 
 def _pointed_decompose(target, gens, facets):
     """Nonnegative integer combination of gens equal to target, or None."""
-    weights = [sum(dot(f, g) for f in facets) for g in gens]
-    assert all(w > 0 for w in weights), "generators must be outside the unit group"
-    memo = set()
-
-    def member(x):
-        return all(dot(f, x) >= 0 for f in facets)
-
-    def search(x):
-        if not any(x):
-            return []
-        if x in memo:
-            return None
-        for idx, g in enumerate(gens):
-            rest = tuple(a - b for a, b in zip(x, g))
-            if member(rest):
-                sub = search(rest)
-                if sub is not None:
-                    return [idx] + sub
-        memo.add(x)
-        return None
-
-    picks = search(tuple(target))
-    if picks is None:
-        return None
+    if any(sum(dot(f, g) for f in facets) <= 0 for g in gens):
+        raise RuntimeError("generators must be outside the unit group")
+    # depth-first search over the generators in order, with an explicit
+    # stack of (remainder, generator taken); remainders already shown to
+    # have no decomposition are memoized
+    failed = set()
+    stack = []
+    x, start = tuple(target), 0
+    while any(x):
+        for idx in range(start, len(gens)):
+            rest = tuple(a - b for a, b in zip(x, gens[idx]))
+            if rest not in failed and all(dot(f, rest) >= 0 for f in facets):
+                stack.append((x, idx))
+                x, start = rest, 0
+                break
+        else:
+            failed.add(x)
+            if not stack:
+                return None
+            x, idx = stack.pop()
+            start = idx + 1
     out = [0] * len(gens)
-    for idx in picks:
+    for _, idx in stack:
         out[idx] += 1
     return tuple(out)
 
@@ -536,7 +505,8 @@ def intersect(c1: Cone, c2: Cone) -> Cone:
     rays, lin = generators_from_halfspaces(
         list(c1.dual_generators()) + list(c2.dual_generators()), c1.dim
     )
-    assert not lin, "intersection of pointed cones is pointed"
+    if lin:
+        raise RuntimeError("intersection of pointed cones is pointed")
     return Cone(rays, c1.dim)
 
 

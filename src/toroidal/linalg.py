@@ -324,7 +324,8 @@ def smith_normal_form(m: Matrix):
 
     d = [[a[i][j] if i == j else 0 for j in range(nc)] for i in range(nr)]
     # off-diagonal entries must have been cleared
-    assert d == a, "Smith reduction failed to diagonalize"
+    if d != a:
+        raise RuntimeError("Smith reduction failed to diagonalize")
     return Matrix(u), Matrix(a), Matrix(v)
 
 

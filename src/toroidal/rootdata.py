@@ -167,7 +167,8 @@ class RootDatum:
 
         normals = [tuple(-x for x in self.simple_root(i)) for i in range(self.rank)]
         rays, lineality = generators_from_halfspaces(normals, self.rank)
-        assert not lineality, "chamber of a nonsingular Cartan matrix is pointed"
+        if lineality:
+            raise RuntimeError("chamber of a nonsingular Cartan matrix is pointed")
         return Cone(rays, self.rank)
 
     # -- reflections --------------------------------------------------------
@@ -266,7 +267,8 @@ class RootDatum:
         elements = sorted(seen.values(), key=lambda e: (e.length, e.word))
         top_len = elements[-1].length
         longest = [e for e in elements if e.length == top_len]
-        assert len(longest) == 1, "longest element must be unique"
+        if len(longest) != 1:
+            raise RuntimeError("longest element must be unique")
         return WeylGroup(elements, longest[0])
 
     def longest_word(self):

@@ -147,6 +147,13 @@ def test_longest_conjugation_roundtrip():
             done += 1
 
 
+def test_anchors_certify_the_round_trip(monkeypatch):
+    calc = Calculus(RootDatum.of_type("A", 1))
+    monkeypatch.setattr(Calculus, "reflect_longest_inverse", lambda self, p: p)
+    with pytest.raises(RuntimeError, match="round trip"):
+        calc.anchors(RAY1)
+
+
 def test_reorder_direct_frozen_sl2():
     up = Matrix([[1, 1], [0, 1]])
     um = Matrix([[1, 0], [1, 1]])

@@ -1,8 +1,12 @@
+import collections
+import functools
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toroidal.catalog import cone_catalog
 from toroidal.charts import (
@@ -31,6 +35,44 @@ from toroidal.rootdata import RootDatum
 
 A1_CONE = Cone([(-1,)], dim=1)
 WEDGE = Cone([(-1, 0), (-1, -2)])
+
+
+# -- degree-bounded oracle ----------------------------------------------------
+
+
+@functools.cache
+def relations_up_to_degree_6(cone: Cone):
+    """Binomial relations among Hilbert elements up to total degree 6.
+
+    The validator before the exact face-lattice check: a bounded sample of
+    relations, kept as a reference.  Each relation is a pair of exponent
+    tuples ((h, e), ...) with equal weighted sums; each monomial is paired
+    with the first monomial of the same weighted sum.
+    """
+    buckets = {}
+    for size in range(7):
+        for combo in itertools.combinations_with_replacement(cone.hilbert_basis, size):
+            total = tuple(sum(c[k] for c in combo) for k in range(cone.dim))
+            buckets.setdefault(total, []).append(combo)
+    rels = []
+    for combos in buckets.values():
+        base = _exponents(combos[0])
+        rels.extend((base, _exponents(other)) for other in combos[1:])
+    return tuple(rels)
+
+
+def _exponents(combo):
+    return tuple(sorted(collections.Counter(combo).items()))
+
+
+def oracle_accepts(cone: Cone, values) -> bool:
+    def monomial(exponents):
+        out = Fraction(1)
+        for h, e in exponents:
+            out *= values[h] ** e
+        return out
+
+    return all(monomial(l) == monomial(r) for l, r in relations_up_to_degree_6(cone))
 
 
 def test_torus_point_frozen():
@@ -94,6 +136,56 @@ def test_chart_point_validates_keys_and_relations():
     boundary = ChartPoint(cone, {(0, 1): 3, (1, 0): 0, (2, -1): 0})
     assert not boundary.is_invertible()
     assert sorted(hb) == [(0, 1), (1, 0), (2, -1)]
+
+
+SMALL_CONES = [c for c in cone_catalog() if len(c.hilbert_basis) <= 9]
+NONZERO = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool)
+
+
+@st.composite
+def value_maps(draw):
+    """A catalog cone and a value map: torus point, face limit, perturbed,
+    random zero pattern or random small integers."""
+    cone = draw(st.sampled_from(SMALL_CONES))
+    hb = cone.hilbert_basis
+    kind = draw(st.sampled_from(["torus", "face", "perturbed", "zeros", "integers"]))
+    if kind == "integers":
+        return cone, {h: Fraction(draw(st.integers(-2, 2))) for h in hb}
+    coords = draw(st.lists(NONZERO, min_size=cone.dim, max_size=cone.dim))
+    values = torus_point(coords, cone).values
+    if kind == "face" or kind == "perturbed" and draw(st.booleans()):
+        face = draw(st.sampled_from(cone.face_ray_sets()))
+        values = {h: v if all(dot(h, r) == 0 for r in face) else 0 for h, v in values.items()}
+    if kind == "perturbed":
+        h = draw(st.sampled_from(hb))
+        values[h] *= draw(st.sampled_from([2, -1, Fraction(1, 3)]))
+    if kind == "zeros":
+        zeros = draw(st.lists(st.sampled_from(hb), unique=True))
+        values = {h: 0 if h in zeros else v for h, v in values.items()}
+    return cone, values
+
+
+@settings(max_examples=300, deadline=None)
+@given(value_maps())
+def test_chart_point_check_matches_degree_bounded_oracle(case):
+    cone, values = case
+    try:
+        ChartPoint(cone, values)
+        accepted = True
+    except InvalidChartValues:
+        accepted = False
+    assert accepted == oracle_accepts(cone, values)
+
+
+def test_raw_chart_point_accepts_eps_torus_values():
+    cone = Cone([(1, 0), (1, 2)])
+    curve = torus_point((EPS, RatFun(1) + EPS ** 2), cone)
+    p = ChartPoint(cone, curve.values)
+    assert p == curve and p.field == "Q(eps)"
+    broken = dict(curve.values)
+    broken[(2, -1)] = broken[(2, -1)] * EPS
+    with pytest.raises(InvalidChartValues):
+        ChartPoint(cone, broken)
 
 
 def test_evaluate_character_is_multiplicative():

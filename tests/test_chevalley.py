@@ -168,6 +168,15 @@ def test_refactor_identity_and_sl2():
     assert pin1.unipotent_refactor(u, pin1.positive_order) == (Fraction(7, 3),)
 
 
+def test_refactor_certifies_reassembly(monkeypatch):
+    pin = pinning(1)
+    u = Matrix([[1, Fraction(7, 3)], [0, 1]])
+    # a pinning that reads every coordinate from the lower-left entry
+    monkeypatch.setattr(Pinning, "root_position", lambda self, beta: (1, 0))
+    with pytest.raises(RuntimeError, match="reassemble"):
+        pin.unipotent_refactor(u, pin.positive_order)
+
+
 def test_refactor_order_independent_in_group():
     pin = pinning(2)
     rng = random.Random(21)

@@ -196,6 +196,13 @@ def test_hilbert_empty_rays_need_dim(capsys):
     assert "dim" in err
 
 
+def test_hilbert_rejects_dim_contradicting_rays(capsys):
+    code, out, err = run_cli(["hilbert", "--rays", "[[1,0]]", "--dim", "3"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "dimension 3" in err
+
+
 def test_hilbert_rays_from_file(tmp_path, capsys):
     rays = tmp_path / "rays.json"
     rays.write_text("[[1,0],[1,2]]")

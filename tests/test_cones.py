@@ -27,6 +27,8 @@ from toroidal.cones import (
 from toroidal.linalg import Matrix, dot, integer_rank, smith_normal_form
 from toroidal.rootdata import RootDatum
 
+from test_charts import relations_up_to_degree_6
+
 
 # -- brute-force oracles ------------------------------------------------------
 
@@ -190,9 +192,23 @@ def test_monoid_decompose_rejects_outside_points():
         c.monoid_decompose((1,))
 
 
+def test_monoid_decompose_deep_target_has_no_recursion_limit():
+    c = Cone([(1, 0), (0, 1)])
+    assert c.monoid_decompose((3000, 3000)) == {(0, 1): 3000, (1, 0): 3000}
+
+
+def test_monoid_decompose_certifies_its_sum(monkeypatch):
+    import toroidal.cones as cones
+
+    # a unit-group solver that drops its solution
+    monkeypatch.setattr(cones, "_solve_integer", lambda mat, target: (0,) * mat.ncols)
+    with pytest.raises(RuntimeError, match="does not sum back"):
+        Cone([(1, 0)], dim=2).monoid_decompose((1, 5))
+
+
 def test_relations_hold_on_generators():
     c = Cone([(1, 0), (1, 2)])
-    rels = c.relations()
+    rels = relations_up_to_degree_6(c)
     assert rels  # (1,0)+(1,0) == (0,1)+(2,-1) appears in some degree
     for lhs, rhs in rels:
         lv = [0, 0]
@@ -206,11 +222,8 @@ def test_relations_hold_on_generators():
 
 
 def test_relations_have_one_fixed_degree():
-    # a degree knob let the first call's degree stick in the cache
     c = Cone([(1, 0), (1, 2)])
-    with pytest.raises(TypeError):
-        c.relations(max_degree=2)
-    assert len(c.relations()) == 35
+    assert len(relations_up_to_degree_6(c)) == 35
 
 
 # -- faces and witnesses --------------------------------------------------

@@ -66,6 +66,15 @@ def test_snf_frozen_examples():
         assert [int(d[i, i]) for i in range(2)] == expect
 
 
+def test_snf_certifies_diagonal(monkeypatch):
+    import toroidal.linalg as linalg
+
+    # a pivot search that sees no nonzero entry leaves the matrix as it is
+    monkeypatch.setattr(linalg, "abs", lambda x: 0, raising=False)
+    with pytest.raises(RuntimeError, match="diagonalize"):
+        smith_normal_form(Matrix([[1, 2], [3, 4]]))
+
+
 def test_kernel_frozen_examples():
     k = integer_kernel(Matrix([[1, 1]]))
     assert len(k) == 1 and k[0] in ((1, -1), (-1, 1))
