@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Matrix
+from .linalg import _ONE, _ZERO, Matrix, _share
 from .rootdata import RootDatum
 
 __all__ = [
@@ -42,6 +42,16 @@ class BigCellTriple:
     pos_coords: tuple
 
 
+def _times_root(m: Matrix, i: int, j: int, x) -> Matrix:
+    """m @ (I + x E_ij): column j gains x times column i; other rows are shared."""
+    rows = []
+    for r in m.rows:
+        if r[i]:
+            r = r[:j] + (_share(r[j] + (x if r[i] == 1 else x * r[i])),) + r[j + 1:]
+        rows.append(r)
+    return Matrix._of(tuple(rows))
+
+
 def _is_type_a(rd: RootDatum) -> bool:
     l = rd.rank
     for i in range(l):
@@ -60,6 +70,7 @@ class Pinning:
             raise ValueError("matrix realization is available for type A only")
         self.rd = rd
         self.n = rd.rank + 1
+        self._identity = Matrix.identity(self.n)
         self._pos = {}
         for beta in rd.roots:
             coords = rd.alpha_coordinates(beta)
@@ -95,7 +106,7 @@ class Pinning:
     # -- elements ------------------------------------------------------------
 
     def identity(self) -> Matrix:
-        return Matrix.identity(self.n)
+        return self._identity
 
     def root_position(self, beta):
         return self._pos[tuple(beta)]
@@ -160,7 +171,7 @@ class Pinning:
         if g.nrows != n or g.ncols != n:
             raise ValueError("size mismatch")
         a = [list(r) for r in g.rows]
-        lower = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+        lower = [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
         for k in range(n):
             if a[k][k] == 0:
                 raise NotInBigCell(f"leading principal minor {k + 1} vanishes")
@@ -264,7 +275,5 @@ def random_element(pinning: Pinning, rng) -> Matrix:
         x = 0
         while x == 0:
             x = rng.randint(-3, 3)
-        elem = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-        elem[i][j] = x
-        out = out @ Matrix(elem)
+        out = _times_root(out, i, j, Fraction(x))
     return out

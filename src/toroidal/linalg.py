@@ -28,11 +28,26 @@ __all__ = [
 ]
 
 
+# Small integers recur throughout unitriangular, Weyl and random elementary
+# products; one shared Fraction per value keeps the matrices a program holds
+# on to small.
+_SMALL = tuple(Fraction(k) for k in range(-64, 65))
+_ZERO = _SMALL[64]
+_ONE = _SMALL[65]
+
+
+def _share(x):
+    """x, or the shared Fraction of the same value if it is a small integer."""
+    if type(x) is Fraction and x.denominator == 1 and -64 <= x.numerator <= 64:
+        return _SMALL[x.numerator + 64]
+    return x
+
+
 def _coerce_entry(x):
     if isinstance(x, (Fraction, RatFun)):
-        return x
+        return _share(x)
     if isinstance(x, int):
-        return Fraction(x)
+        return _SMALL[x + 64] if -64 <= x <= 64 else Fraction(x)
     raise TypeError(f"unsupported matrix entry {x!r}")
 
 
@@ -40,6 +55,17 @@ def dot(u, v) -> Fraction:
     if len(u) != len(v):
         raise ValueError("dot of vectors with different lengths")
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
+
+
+def _entry_dot(u, v):
+    # dot of two rows of matrix entries; zero terms and unit factors are
+    # skipped, since a Fraction product costs far more than the tests
+    acc = None
+    for a, b in zip(u, v):
+        if a and b:
+            t = b if a == 1 else a if b == 1 else a * b
+            acc = t if acc is None else acc + t
+    return _ZERO if acc is None else _share(acc)
 
 
 def primitive_vector(v):
@@ -68,14 +94,22 @@ class Matrix:
                 raise ValueError("ragged rows")
 
     @classmethod
+    def _of(cls, rows) -> "Matrix":
+        # rows: a tuple of equal-length tuples of coerced entries
+        m = object.__new__(cls)
+        m.rows = rows
+        return m
+
+    @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls.diagonal([_ONE] * n)
 
     @classmethod
     def diagonal(cls, entries) -> "Matrix":
-        es = list(entries)
+        es = [_coerce_entry(x) for x in entries]
         n = len(es)
-        return cls([[es[i] if i == j else 0 for j in range(n)] for i in range(n)])
+        rows = (tuple(x if i == j else _ZERO for j in range(n)) for i, x in enumerate(es))
+        return cls._of(tuple(rows))
 
     @classmethod
     def column(cls, v) -> "Matrix":
@@ -115,9 +149,9 @@ class Matrix:
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:
                 raise ValueError("shape mismatch in matrix product")
-            ot = other.transpose().rows
-            return Matrix(
-                [[dot(r, c) for c in ot] for r in self.rows]
+            ot = tuple(zip(*other.rows))
+            return Matrix._of(
+                tuple(tuple(_entry_dot(r, c) for c in ot) for r in self.rows)
             )
         if isinstance(other, (tuple, list)):
             if self.ncols != len(other):
@@ -154,9 +188,7 @@ class Matrix:
         return Matrix([[c * x for x in r] for r in self.rows])
 
     def transpose(self) -> "Matrix":
-        return Matrix(
-            [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)]
-        )
+        return Matrix._of(tuple(zip(*self.rows)))
 
     def map(self, f) -> "Matrix":
         return Matrix([[f(x) for x in r] for r in self.rows])
@@ -194,12 +226,12 @@ class Matrix:
             raise ValueError("inverse of a non-square matrix")
         n = self.nrows
         rows = [
-            list(r) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
+            list(r) + [_ONE if i == j else _ZERO for j in range(n)]
             for i, r in enumerate(self.rows)
         ]
         if len(_gauss_jordan(rows, n)) < n:
             raise ZeroDivisionError("matrix is singular")
-        return Matrix([r[n:] for r in rows])
+        return Matrix._of(tuple(tuple(map(_share, r[n:])) for r in rows))
 
 
 def _gauss_jordan(rows, ncols):
@@ -218,11 +250,11 @@ def _gauss_jordan(rows, ncols):
             continue
         rows[row], rows[piv] = rows[piv], rows[row]
         inv = 1 / rows[row][col]
-        rows[row] = [x * inv for x in rows[row]]
+        rows[row] = [x * inv if x else x for x in rows[row]]
         for i in range(len(rows)):
             if i != row and rows[i][col]:
                 f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[row])]
+                rows[i] = [x - f * y if y else x for x, y in zip(rows[i], rows[row])]
         pivots.append(col)
     return pivots
 

@@ -46,14 +46,28 @@ def _padd(a, b):
     )
 
 
+def _scaled(a):
+    """Integer coefficients and a denominator d with a == ints / d."""
+    d = 1
+    for c in a:
+        d = d * c.denominator // _igcd(d, c.denominator)
+    return [c.numerator * (d // c.denominator) for c in a], d
+
+
 def _pmul(a, b):
+    # convolve integer numerators over one common denominator: a Fraction
+    # per coefficient of the product instead of one per pair of terms
     if not a or not b:
         return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return _trim(out)
+    ia, da = _scaled(a)
+    ib, db = _scaled(b)
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(ia):
+        if x:
+            for j, y in enumerate(ib):
+                out[i + j] += x * y
+    d = da * db
+    return _trim(Fraction(c, d) for c in out)
 
 
 def _pdivmod(a, b):
@@ -87,10 +101,7 @@ def _int_clear(a):
     """Primitive integer multiple of a Fraction polynomial (content dropped)."""
     if not a:
         return ()
-    den = 1
-    for c in a:
-        den = den * c.denominator // _igcd(den, c.denominator)
-    ints = [c.numerator * (den // c.denominator) for c in a]
+    ints, _ = _scaled(a)
     g = 0
     for v in ints:
         g = _igcd(g, v)

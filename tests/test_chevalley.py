@@ -233,3 +233,27 @@ def test_random_element_has_determinant_one():
     for _ in range(20):
         g = random_element(pin, rng)
         assert g.det() == 1
+
+
+def test_random_element_is_its_product_of_elementary_matrices():
+    # the column operations must rebuild the product of the same draws'
+    # elementary matrices, multiplied out in full
+    for rank in (1, 2, 3):
+        pin = pinning(rank)
+        n = pin.n
+        for seed in range(5):
+            got = random_element(pin, random.Random(seed))
+            rng = random.Random(seed)
+            want = Matrix.identity(n)
+            for _ in range(10):
+                i = rng.randrange(n)
+                j = rng.randrange(n - 1)
+                if j >= i:
+                    j += 1
+                x = 0
+                while x == 0:
+                    x = rng.randint(-3, 3)
+                elem = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
+                elem[i][j] = x
+                want = want @ Matrix(elem)
+            assert got == want

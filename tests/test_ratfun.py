@@ -46,6 +46,14 @@ def test_denominator_is_monic():
     assert f * (EPS + 1) == Fraction(1, 2)
 
 
+def test_printed_form_has_monic_denominator():
+    f = (EPS + Fraction(1, 2)) / (3 * EPS - 6)
+    assert repr(f) == "(1/3*eps + 1/6)/(eps - 2)"
+    assert repr(-f * EPS**2) == "(-1/3*eps^3 - 1/6*eps^2)/(eps - 2)"
+    assert repr(RatFun((Fraction(2, 3), 4), (6, 0, 3))) == "(4/3*eps + 2/9)/(eps^2 + 2)"
+    assert repr(Fraction(3, 4) - EPS**2 / 2) == "-1/2*eps^2 + 3/4"
+
+
 def test_power_negative_exponent():
     assert EPS**-2 * EPS**2 == 1
     with pytest.raises(ZeroDivisionError):
