@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import _ONE, _ZERO, Matrix, _share
+from .linalg import Matrix
 from .rootdata import RootDatum
 
 __all__ = [
@@ -42,16 +42,6 @@ class BigCellTriple:
     pos_coords: tuple
 
 
-def _times_root(m: Matrix, i: int, j: int, x) -> Matrix:
-    """m @ (I + x E_ij): column j gains x times column i; other rows are shared."""
-    rows = []
-    for r in m.rows:
-        if r[i]:
-            r = r[:j] + (_share(r[j] + (x if r[i] == 1 else x * r[i])),) + r[j + 1:]
-        rows.append(r)
-    return Matrix._of(tuple(rows))
-
-
 def _is_type_a(rd: RootDatum) -> bool:
     l = rd.rank
     for i in range(l):
@@ -70,7 +60,6 @@ class Pinning:
             raise ValueError("matrix realization is available for type A only")
         self.rd = rd
         self.n = rd.rank + 1
-        self._identity = Matrix.identity(self.n)
         self._pos = {}
         for beta in rd.roots:
             coords = rd.alpha_coordinates(beta)
@@ -106,7 +95,7 @@ class Pinning:
     # -- elements ------------------------------------------------------------
 
     def identity(self) -> Matrix:
-        return self._identity
+        return Matrix.identity(self.n)
 
     def root_position(self, beta):
         return self._pos[tuple(beta)]
@@ -171,7 +160,7 @@ class Pinning:
         if g.nrows != n or g.ncols != n:
             raise ValueError("size mismatch")
         a = [list(r) for r in g.rows]
-        lower = [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
+        lower = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
         for k in range(n):
             if a[k][k] == 0:
                 raise NotInBigCell(f"leading principal minor {k + 1} vanishes")
@@ -266,7 +255,7 @@ class Pinning:
 def random_element(pinning: Pinning, rng) -> Matrix:
     """Seeded product of 10 elementary matrices with entries in [-3, 3]."""
     n = pinning.n
-    out = pinning.identity()
+    rows = [[int(r == c) for c in range(n)] for r in range(n)]
     for _ in range(10):
         i = rng.randrange(n)
         j = rng.randrange(n - 1)
@@ -275,5 +264,6 @@ def random_element(pinning: Pinning, rng) -> Matrix:
         x = 0
         while x == 0:
             x = rng.randint(-3, 3)
-        out = _times_root(out, i, j, Fraction(x))
-    return out
+        for r in rows:  # times I + x E_ij: column j gains x times column i
+            r[j] += x * r[i]
+    return Matrix(rows)

@@ -28,12 +28,10 @@ __all__ = [
 ]
 
 
-# Small integers recur throughout unitriangular, Weyl and random elementary
-# products; one shared Fraction per value keeps the matrices a program holds
-# on to small.
+# One Fraction per small integer value.  Unitriangular, Weyl-group and random
+# elementary matrices are mostly 0 and +-1, so a program that keeps many of
+# them would otherwise hold a fresh Fraction for each such entry.
 _SMALL = tuple(Fraction(k) for k in range(-64, 65))
-_ZERO = _SMALL[64]
-_ONE = _SMALL[65]
 
 
 def _share(x):
@@ -58,14 +56,10 @@ def dot(u, v) -> Fraction:
 
 
 def _entry_dot(u, v):
-    # dot of two rows of matrix entries; zero terms and unit factors are
-    # skipped, since a Fraction product costs far more than the tests
-    acc = None
-    for a, b in zip(u, v):
-        if a and b:
-            t = b if a == 1 else a if b == 1 else a * b
-            acc = t if acc is None else acc + t
-    return _ZERO if acc is None else _share(acc)
+    # zero terms and unit factors are skipped: a Fraction product costs far
+    # more than the tests, and products of unitriangular matrices are sparse
+    terms = [b if a == 1 else a if b == 1 else a * b for a, b in zip(u, v) if a and b]
+    return _share(sum(terms[1:], terms[0])) if terms else _SMALL[64]
 
 
 def primitive_vector(v):
@@ -95,25 +89,20 @@ class Matrix:
 
     @classmethod
     def _of(cls, rows) -> "Matrix":
-        # rows: a tuple of equal-length tuples of coerced entries
+        # rows: a tuple of equal-length tuples of already coerced entries
         m = object.__new__(cls)
         m.rows = rows
         return m
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls.diagonal([_ONE] * n)
+        return cls._of(tuple(tuple(_SMALL[64 + (i == j)] for j in range(n)) for i in range(n)))
 
     @classmethod
     def diagonal(cls, entries) -> "Matrix":
-        es = [_coerce_entry(x) for x in entries]
+        es = list(entries)
         n = len(es)
-        rows = (tuple(x if i == j else _ZERO for j in range(n)) for i, x in enumerate(es))
-        return cls._of(tuple(rows))
-
-    @classmethod
-    def column(cls, v) -> "Matrix":
-        return cls([[x] for x in v])
+        return cls([[es[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
     @property
     def nrows(self) -> int:
@@ -126,9 +115,6 @@ class Matrix:
     def __getitem__(self, ij):
         i, j = ij
         return self.rows[i][j]
-
-    def row(self, i):
-        return self.rows[i]
 
     def col(self, j):
         return tuple(r[j] for r in self.rows)
@@ -150,9 +136,7 @@ class Matrix:
             if self.ncols != other.nrows:
                 raise ValueError("shape mismatch in matrix product")
             ot = tuple(zip(*other.rows))
-            return Matrix._of(
-                tuple(tuple(_entry_dot(r, c) for c in ot) for r in self.rows)
-            )
+            return Matrix._of(tuple(tuple(_entry_dot(r, c) for c in ot) for r in self.rows))
         if isinstance(other, (tuple, list)):
             if self.ncols != len(other):
                 raise ValueError("shape mismatch in matrix-vector product")
@@ -183,9 +167,6 @@ class Matrix:
 
     def __neg__(self):
         return Matrix([[-x for x in r] for r in self.rows])
-
-    def scale(self, c) -> "Matrix":
-        return Matrix([[c * x for x in r] for r in self.rows])
 
     def transpose(self) -> "Matrix":
         return Matrix._of(tuple(zip(*self.rows)))
@@ -226,12 +207,12 @@ class Matrix:
             raise ValueError("inverse of a non-square matrix")
         n = self.nrows
         rows = [
-            list(r) + [_ONE if i == j else _ZERO for j in range(n)]
+            list(r) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
             for i, r in enumerate(self.rows)
         ]
         if len(_gauss_jordan(rows, n)) < n:
             raise ZeroDivisionError("matrix is singular")
-        return Matrix._of(tuple(tuple(map(_share, r[n:])) for r in rows))
+        return Matrix([r[n:] for r in rows])
 
 
 def _gauss_jordan(rows, ncols):
@@ -250,25 +231,19 @@ def _gauss_jordan(rows, ncols):
             continue
         rows[row], rows[piv] = rows[piv], rows[row]
         inv = 1 / rows[row][col]
-        rows[row] = [x * inv if x else x for x in rows[row]]
+        rows[row] = [x * inv for x in rows[row]]
         for i in range(len(rows)):
             if i != row and rows[i][col]:
                 f = rows[i][col]
-                rows[i] = [x - f * y if y else x for x, y in zip(rows[i], rows[row])]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[row])]
         pivots.append(col)
     return pivots
 
 
 def _int_rows(m: Matrix):
-    out = []
-    for r in m.rows:
-        row = []
-        for x in r:
-            if not isinstance(x, Fraction) or x.denominator != 1:
-                raise ValueError("integer matrix required")
-            row.append(int(x))
-        out.append(row)
-    return out
+    if not m.is_integer():
+        raise ValueError("integer matrix required")
+    return [[int(x) for x in r] for r in m.rows]
 
 
 def smith_normal_form(m: Matrix):

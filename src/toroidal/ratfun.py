@@ -10,7 +10,7 @@ families of points can be manipulated exactly and then evaluated at
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _igcd
+from math import gcd as _igcd, lcm
 
 __all__ = ["Rat", "RatFun", "PoleAtZero", "EPS", "evaluate_at_zero"]
 
@@ -48,26 +48,21 @@ def _padd(a, b):
 
 def _scaled(a):
     """Integer coefficients and a denominator d with a == ints / d."""
-    d = 1
-    for c in a:
-        d = d * c.denominator // _igcd(d, c.denominator)
+    d = lcm(*(c.denominator for c in a))
     return [c.numerator * (d // c.denominator) for c in a], d
 
 
 def _pmul(a, b):
-    # convolve integer numerators over one common denominator: a Fraction
+    # convolve integer numerators over one common denominator: one Fraction
     # per coefficient of the product instead of one per pair of terms
     if not a or not b:
         return ()
-    ia, da = _scaled(a)
-    ib, db = _scaled(b)
+    (ia, da), (ib, db) = _scaled(a), _scaled(b)
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(ia):
-        if x:
-            for j, y in enumerate(ib):
-                out[i + j] += x * y
-    d = da * db
-    return _trim(Fraction(c, d) for c in out)
+        for j, y in enumerate(ib):
+            out[i + j] += x * y
+    return _trim(Fraction(c, da * db) for c in out)
 
 
 def _pdivmod(a, b):
@@ -102,9 +97,7 @@ def _int_clear(a):
     if not a:
         return ()
     ints, _ = _scaled(a)
-    g = 0
-    for v in ints:
-        g = _igcd(g, v)
+    g = _igcd(*ints)
     return tuple(v // g for v in ints)
 
 

@@ -1,6 +1,3 @@
-import collections
-import functools
-import itertools
 import random
 from fractions import Fraction
 
@@ -35,44 +32,6 @@ from toroidal.rootdata import RootDatum
 
 A1_CONE = Cone([(-1,)], dim=1)
 WEDGE = Cone([(-1, 0), (-1, -2)])
-
-
-# -- degree-bounded oracle ----------------------------------------------------
-
-
-@functools.cache
-def relations_up_to_degree_6(cone: Cone):
-    """Binomial relations among Hilbert elements up to total degree 6.
-
-    The validator before the exact face-lattice check: a bounded sample of
-    relations, kept as a reference.  Each relation is a pair of exponent
-    tuples ((h, e), ...) with equal weighted sums; each monomial is paired
-    with the first monomial of the same weighted sum.
-    """
-    buckets = {}
-    for size in range(7):
-        for combo in itertools.combinations_with_replacement(cone.hilbert_basis, size):
-            total = tuple(sum(c[k] for c in combo) for k in range(cone.dim))
-            buckets.setdefault(total, []).append(combo)
-    rels = []
-    for combos in buckets.values():
-        base = _exponents(combos[0])
-        rels.extend((base, _exponents(other)) for other in combos[1:])
-    return tuple(rels)
-
-
-def _exponents(combo):
-    return tuple(sorted(collections.Counter(combo).items()))
-
-
-def oracle_accepts(cone: Cone, values) -> bool:
-    def monomial(exponents):
-        out = Fraction(1)
-        for h, e in exponents:
-            out *= values[h] ** e
-        return out
-
-    return all(monomial(l) == monomial(r) for l, r in relations_up_to_degree_6(cone))
 
 
 def test_torus_point_frozen():
@@ -167,7 +126,7 @@ def value_maps(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(value_maps())
-def test_chart_point_check_matches_degree_bounded_oracle(case):
+def test_chart_point_check_matches_degree_bounded_oracle(oracle_accepts, case):
     cone, values = case
     try:
         ChartPoint(cone, values)

@@ -27,8 +27,6 @@ from toroidal.cones import (
 from toroidal.linalg import Matrix, dot, integer_rank, smith_normal_form
 from toroidal.rootdata import RootDatum
 
-from test_charts import relations_up_to_degree_6
-
 
 # -- brute-force oracles ------------------------------------------------------
 
@@ -206,7 +204,7 @@ def test_monoid_decompose_certifies_its_sum(monkeypatch):
         Cone([(1, 0)], dim=2).monoid_decompose((1, 5))
 
 
-def test_relations_hold_on_generators():
+def test_relations_hold_on_generators(relations_up_to_degree_6):
     c = Cone([(1, 0), (1, 2)])
     rels = relations_up_to_degree_6(c)
     assert rels  # (1,0)+(1,0) == (0,1)+(2,-1) appears in some degree
@@ -221,7 +219,7 @@ def test_relations_hold_on_generators():
         assert lhs != rhs
 
 
-def test_relations_have_one_fixed_degree():
+def test_relations_have_one_fixed_degree(relations_up_to_degree_6):
     c = Cone([(1, 0), (1, 2)])
     assert len(relations_up_to_degree_6(c)) == 35
 
