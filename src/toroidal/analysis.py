@@ -5,7 +5,6 @@ from __future__ import annotations
 from .charts import identity_point, limit_point, wonderful_coords
 from .cones import (
     Fan,
-    InvalidFan,
     cone_index,
     cone_is_smooth,
     face_witness,
@@ -93,12 +92,11 @@ def analyze(rd: RootDatum, fan: Fan) -> dict:
                 adjacency.append([index_of[f], index_of[c]])
     report["adjacency"] = sorted(adjacency)
     if chamber_ok:
-        try:
-            report["proper"] = is_proper(fan, rd.weyl)
-        except InvalidFan:
-            report["proper"] = False
-    else:
-        report["proper"] = None
+        # The closed chamber C is a strict fundamental domain, so w.sigma
+        # meets tau in sigma, tau and Fix(w) together, and Fix(w) cuts a face
+        # out of C: the Weyl translates of a valid fan in C form a fan, and
+        # is_proper cannot raise InvalidFan here.
+        report["proper"] = is_proper(fan, rd.weyl)
     return report
 
 

@@ -126,7 +126,6 @@ class Calculus:
     def __init__(self, rd: RootDatum):
         self.rd = rd
         self.pinning = Pinning(rd)
-        self.signs = self.pinning.chevalley_signs()
         self.longest_word = rd.longest_word()
         self.n0 = self.pinning.weyl_representative(self.longest_word)
         self.n0_inv = self.n0.inverse()
@@ -134,20 +133,10 @@ class Calculus:
         # of cubes in reversed order; composing the conjugation maps in the
         # matching order yields the word below, leftmost applied first.
         self._inverse_sweep = tuple(j for j in self.longest_word for _ in range(3))
-        neg, pos = [], []
-        for i in range(rd.rank):
-            a_i = rd.simple_root(i)
-            minus_a_i = tuple(-x for x in a_i)
-            neg.append(
-                tuple(b for b in self.pinning.negative_order if b != minus_a_i)
-                + (minus_a_i,)
-            )
-            pos.append(
-                (a_i,)
-                + tuple(b for b in self.pinning.positive_order if b != a_i)
-            )
-        self._neg_orders = tuple(neg)
-        self._pos_orders = tuple(pos)
+        self._n_pairs = tuple(
+            (n, n.inverse())
+            for n in map(self.pinning.simple_reflection_element, range(rd.rank))
+        )
         self._anchor_cache = {}
 
     # -- single reflections ----------------------------------------------------
@@ -155,17 +144,19 @@ class Calculus:
     def reflect_simple(self, p: MixedPoint, i: int) -> MixedPoint:
         """Conjugation by the reflection representative n_i, extended to the chart.
 
-        The input is refactored so the -alpha_i coordinate x sits last in u^-
-        and the alpha_i coordinate y sits first in u^+; the map then inverts
-        the denominator D = (-alpha_i)(t) + x y.
+        Let x be the -alpha_i entry of u^- and y the alpha_i entry of u^+.
+        The rest of each factor, u^- x_{-alpha_i}(-x) and x_{alpha_i}(-y) u^+,
+        is conjugated by n_i as a matrix; the SL_2 part
+        x_{-alpha_i}(x) t x_{alpha_i}(y) between them is rewritten through the
+        denominator D = (-alpha_i)(t) + x y, which must not vanish.
         """
         rd, pin = self.rd, self.pinning
-        neg_order = self._neg_orders[i]
-        pos_order = self._pos_orders[i]
-        xs = pin.unipotent_refactor(p.u_minus, neg_order)
-        ys = pin.unipotent_refactor(p.u_plus, pos_order)
-        x, y = xs[-1], ys[0]
-        minus_a_i = neg_order[-1]
+        a_i = rd.simple_root(i)
+        minus_a_i = tuple(-v for v in a_i)
+        # a simple root's entry is its coordinate in every root order: no
+        # product of two or more root elements reaches the first off-diagonal
+        x = pin.coordinate_at(p.u_minus, minus_a_i)
+        y = pin.coordinate_at(p.u_plus, a_i)
         d = evaluate_character(p.chart, minus_a_i) + x * y
         if d == 0:
             raise OutsideVi(
@@ -175,18 +166,12 @@ class Calculus:
                     f"simple index {i}",
                 )
             )
-        um = pin.identity()
-        for root, c in zip(neg_order[:-1], xs[:-1]):
-            if c != 0:
-                image = rd.reflect_character(i, root)
-                um = um @ pin.root_element(image, self.signs[(i, root)] * c)
+        n, n_inv = self._n_pairs[i]
+        um = n @ (p.u_minus @ pin.root_element(minus_a_i, -x)) @ n_inv
         um = um @ pin.root_element(minus_a_i, -y / d)
         chart = coweight_scale(p.chart, rd.simple_coroot(i), d)
-        up = pin.root_element(pos_order[0], -x / d)
-        for root, c in zip(pos_order[1:], ys[1:]):
-            if c != 0:
-                image = rd.reflect_character(i, root)
-                up = up @ pin.root_element(image, self.signs[(i, root)] * c)
+        up = pin.root_element(a_i, -x / d) @ n
+        up = up @ (pin.root_element(a_i, -y) @ p.u_plus) @ n_inv
         return MixedPoint(um, chart, up)
 
     def reflect_longest(self, p: MixedPoint) -> MixedPoint:
@@ -199,6 +184,13 @@ class Calculus:
         for i in self._inverse_sweep:
             p = self.reflect_simple(p, i)
         return p
+
+    def _ldu(self, g: Matrix, step: str, predicate: str):
+        """pinning.ldu(g), with a NotInBigCell reported as leaving the domain."""
+        try:
+            return self.pinning.ldu(g)
+        except NotInBigCell as e:
+            raise OutsideDomain(DomainReport(step, predicate, str(e))) from e
 
     # -- reordered multiplication ----------------------------------------------
 
@@ -243,18 +235,8 @@ class Calculus:
         """Rewrite the product u^+ t u^- in the chart order u^- t u^+."""
         pin = self.pinning
         um0, um0_inv, up0, up0_inv = self.anchors(chart.cone)
-        try:
-            l1, d1, r1 = pin.ldu(u_plus @ um0_inv)
-        except NotInBigCell as e:
-            raise OutsideDomain(
-                DomainReport("reorder", "u+ (u0-)^{-1} in the big cell", str(e))
-            ) from e
-        try:
-            l2, d2, r2 = pin.ldu(up0_inv @ u_minus)
-        except NotInBigCell as e:
-            raise OutsideDomain(
-                DomainReport("reorder", "(u0+)^{-1} u- in the big cell", str(e))
-            ) from e
+        l1, d1, r1 = self._ldu(u_plus @ um0_inv, "reorder", "u+ (u0-)^{-1} in the big cell")
+        l2, d2, r2 = self._ldu(up0_inv @ u_minus, "reorder", "(u0+)^{-1} u- in the big cell")
         t1 = pin.torus_coordinates_of(d1)
         t2 = pin.torus_coordinates_of(d2)
         d1_inv, d2_inv = d1.inverse(), d2.inverse()
@@ -274,12 +256,7 @@ class Calculus:
         pin = self.pinning
         coords = torus_coordinates(chart)
         g = u_plus @ pin.torus_element(coords) @ u_minus
-        try:
-            l, d, u = pin.ldu(g)
-        except NotInBigCell as e:
-            raise OutsideDomain(
-                DomainReport("reorder_direct", "product in the big cell", str(e))
-            ) from e
+        l, d, u = self._ldu(g, "reorder_direct", "product in the big cell")
         return MixedPoint(l, torus_point(pin.torus_coordinates_of(d), chart.cone), u)
 
     # -- two-sided action --------------------------------------------------------
@@ -287,36 +264,13 @@ class Calculus:
     def act(self, g1: Matrix, p: MixedPoint, g2: Matrix) -> MixedPoint:
         """The rational action (g1, g2) . p = g1 p g2^{-1} computed chartwise."""
         pin = self.pinning
-        try:
-            u1m, d1g, u1p = pin.ldu(g1)
-        except NotInBigCell as e:
-            raise OutsideDomain(
-                DomainReport("act", "g1 in the big cell", str(e))
-            ) from e
-        try:
-            pin.ldu(g2)
-        except NotInBigCell as e:
-            raise OutsideDomain(
-                DomainReport("act", "g2 in the big cell", str(e))
-            ) from e
-        try:
-            h2m, d2g, h2p = pin.ldu(g2.inverse())
-        except NotInBigCell as e:
-            raise OutsideDomain(
-                DomainReport("act", "g2^{-1} in the big cell", str(e))
-            ) from e
-        try:
-            l1, dd1, r1 = pin.ldu(u1p @ p.u_minus)
-        except NotInBigCell as e:
-            raise OutsideDomain(
-                DomainReport("act", "u1+ u- in the big cell", str(e))
-            ) from e
-        try:
-            l2, dd2, r2 = pin.ldu(p.u_plus @ h2m)
-        except NotInBigCell as e:
-            raise OutsideDomain(
-                DomainReport("act", "u+ g2hat- in the big cell", str(e))
-            ) from e
+        u1m, d1g, u1p = self._ldu(g1, "act", "g1 in the big cell")
+        # only narrows the domain that the reports pin; whether act needs it
+        # is open (ROADMAP item 2)
+        self._ldu(g2, "act", "g2 in the big cell")
+        h2m, d2g, h2p = self._ldu(g2.inverse(), "act", "g2^{-1} in the big cell")
+        l1, dd1, r1 = self._ldu(u1p @ p.u_minus, "act", "u1+ u- in the big cell")
+        l2, dd2, r2 = self._ldu(p.u_plus @ h2m, "act", "u+ g2hat- in the big cell")
         td1 = pin.torus_coordinates_of(dd1)
         td2 = pin.torus_coordinates_of(dd2)
         mid = torus_translate(tuple(a * b for a, b in zip(td1, td2)), p.chart)
@@ -336,12 +290,7 @@ class Calculus:
         """Matrix-level action; defined only over the open torus orbit."""
         pin = self.pinning
         g = g1 @ self.to_matrix(p) @ g2.inverse()
-        try:
-            l, d, u = pin.ldu(g)
-        except NotInBigCell as e:
-            raise OutsideDomain(
-                DomainReport("act_direct", "translate in the big cell", str(e))
-            ) from e
+        l, d, u = self._ldu(g, "act_direct", "translate in the big cell")
         return MixedPoint(l, torus_point(pin.torus_coordinates_of(d), p.chart.cone), u)
 
     def to_matrix(self, p: MixedPoint) -> Matrix:

@@ -146,7 +146,7 @@ def _each(name: str, items, check) -> PropertyResult:
 
 def _suite_signs(rank: int, cases: int, seed: int):
     calc = _calculus(rank)
-    table = calc.signs
+    table = calc.pinning.chevalley_signs()
 
     def unit(kv):
         return None if kv[1] in (1, -1) else f"{kv}"

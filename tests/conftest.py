@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import pytest
 
+from toroidal.bigcell import DomainReport, MixedPoint, OutsideVi
+from toroidal.charts import coweight_scale, evaluate_character
 from toroidal.cones import Cone
 
 
@@ -45,6 +47,47 @@ def _oracle_accepts(cone: Cone, values) -> bool:
         return out
 
     return all(monomial(l) == monomial(r) for l, r in _relations_up_to_degree_6(cone))
+
+
+def _reflect_simple_by_coordinates(calc, p: MixedPoint, i: int) -> MixedPoint:
+    """The single-reflection map f_i, computed coordinate by coordinate.
+
+    The version before the plain conjugation by n_i, kept as a reference.
+    u^- is refactored with the -alpha_i coordinate x last and u^+ with the
+    alpha_i coordinate y first; every other coordinate is moved to its
+    reflected root with its Chevalley sign, and the denominator
+    D = (-alpha_i)(t) + x y is inverted.
+    """
+    rd, pin = calc.rd, calc.pinning
+    signs = pin.chevalley_signs()
+    a_i = rd.simple_root(i)
+    minus_a_i = tuple(-v for v in a_i)
+    neg_order = tuple(b for b in pin.negative_order if b != minus_a_i) + (minus_a_i,)
+    pos_order = (a_i,) + tuple(b for b in pin.positive_order if b != a_i)
+    xs = pin.unipotent_refactor(p.u_minus, neg_order)
+    ys = pin.unipotent_refactor(p.u_plus, pos_order)
+    x, y = xs[-1], ys[0]
+    d = evaluate_character(p.chart, minus_a_i) + x * y
+    if d == 0:
+        raise OutsideVi(
+            DomainReport("reflect_simple", "(-alpha_i)(t) + x*y != 0", f"simple index {i}")
+        )
+    um = pin.identity()
+    for root, c in zip(neg_order[:-1], xs[:-1]):
+        if c != 0:
+            um = um @ pin.root_element(rd.reflect_character(i, root), signs[(i, root)] * c)
+    um = um @ pin.root_element(minus_a_i, -y / d)
+    chart = coweight_scale(p.chart, rd.simple_coroot(i), d)
+    up = pin.root_element(a_i, -x / d)
+    for root, c in zip(pos_order[1:], ys[1:]):
+        if c != 0:
+            up = up @ pin.root_element(rd.reflect_character(i, root), signs[(i, root)] * c)
+    return MixedPoint(um, chart, up)
+
+
+@pytest.fixture(scope="session")
+def reflect_simple_by_coordinates():
+    return _reflect_simple_by_coordinates
 
 
 @pytest.fixture(scope="session")

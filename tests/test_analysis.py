@@ -2,7 +2,8 @@ import json
 from fractions import Fraction
 
 from toroidal.analysis import analyze, report_status
-from toroidal.cones import Cone, Fan
+from toroidal.cones import Cone, Fan, fan_validate, orbit_fan
+from toroidal.linalg import primitive_vector
 from toroidal.rootdata import RootDatum
 from toroidal.serialize import (
     dumps_report,
@@ -120,3 +121,28 @@ def test_load_root_datum_forms():
 def test_load_fan_face_closes():
     fan = load_fan({"cones": [{"rays": [[-1, 0], [-1, -2]]}]}, dim=2)
     assert len(fan.cones) == 4
+
+
+def _chamber_fans():
+    """Valid fans in the chamber: whole chambers, star subdivisions, parts of a chamber."""
+    out = []
+    for letter, rank in (("A", 1), ("A", 2), ("B", 2), ("G", 2)):
+        rd = RootDatum.of_type(letter, rank)
+        out.append((rd, Fan([rd.negative_chamber()], dim=rank)))
+    for letter, a, b, whole in (("A", 1, 1, True), ("A", 1, 2, True), ("B", 1, 1, True),
+                                ("B", 1, 2, False)):
+        rd = RootDatum.of_type(letter, 2)
+        r1, r2 = rd.negative_chamber().rays
+        v = primitive_vector([a * x + b * y for x, y in zip(r1, r2)])
+        cones = [Cone([r1, v]), Cone([v, r2])] if whole else [Cone([r1, v])]
+        out.append((rd, Fan(cones, dim=2)))
+    rd = RootDatum.of_type("A", 2)
+    out.append((rd, Fan([Cone([rd.negative_chamber().rays[0]])], dim=2)))
+    return out
+
+
+def test_weyl_translates_of_chamber_fans_form_a_fan():
+    for rd, fan in _chamber_fans():
+        assert fan_validate(fan) == []
+        assert fan_validate(orbit_fan(fan, rd.weyl)) == []
+        assert isinstance(analyze(rd, fan)["proper"], bool)

@@ -96,6 +96,46 @@ def test_reflect_simple_matches_conjugation_randomly():
                 done += 1
 
 
+def _oracle_point(calc, rng, chart, eps):
+    """u^- t u^+ with coordinates in {-1, 0, 1}, plus multiples of eps if asked."""
+    pin = calc.pinning
+
+    def coord():
+        c = Fraction(rng.randint(-1, 1))
+        return c + EPS * rng.randint(-1, 1) if eps else c
+
+    t = [Fraction(rng.choice([-2, -1, 1, 2])) for _ in range(calc.rd.rank)]
+    if eps:
+        t = [c * (1 + EPS * rng.randint(-1, 1)) for c in t]
+    um = pin.unipotent_product(pin.negative_order, [coord() for _ in pin.negative_order])
+    up = pin.unipotent_product(pin.positive_order, [coord() for _ in pin.positive_order])
+    return MixedPoint(um, torus_translate(tuple(t), chart), up)
+
+
+def test_reflect_simple_matches_coordinate_oracle(reflect_simple_by_coordinates):
+    rng = random.Random(2)
+    agreed = refused = 0
+    for rank in (1, 2, 3):
+        calc = Calculus(RootDatum.of_type("A", rank))
+        for eps in (False, True):
+            for chart in boundary_charts(calc):
+                for i in range(rank):
+                    for _ in range(2):
+                        p = _oracle_point(calc, rng, chart, eps)
+                        try:
+                            want = reflect_simple_by_coordinates(calc, p, i)
+                        except OutsideVi:
+                            with pytest.raises(OutsideVi):
+                                calc.reflect_simple(p, i)
+                            refused += 1
+                            continue
+                        got = calc.reflect_simple(p, i)
+                        assert got == want
+                        assert repr(got) == repr(want)
+                        agreed += 1
+    assert agreed > 100 and refused > 20
+
+
 def test_reflect_simple_boundary_slots():
     lam0 = limit_point((-1,), RAY1)
     rng = random.Random(8)

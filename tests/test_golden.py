@@ -33,6 +33,11 @@ _VERIFY = [
     ("functoriality", 2, 6, 0),
     # boundary_identity fails here: the counterexample text is pinned too
     ("theta", 2, 1, 980464),
+    ("theta", 3, 2, 0),
+    ("action", 3, 2, 0),
+    ("equivalence", 3, 2, 0),
+    ("action", 2, 4, 0),
+    ("theta", 2, 4, 0),
 ]
 
 _FIXTURE_FANS = [
