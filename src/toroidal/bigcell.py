@@ -129,10 +129,6 @@ class Calculus:
         self.longest_word = rd.longest_word()
         self.n0 = self.pinning.weyl_representative(self.longest_word)
         self.n0_inv = self.n0.inverse()
-        # n_i has order 4, so the inverse of n_{j_1}...n_{j_m} is the product
-        # of cubes in reversed order; composing the conjugation maps in the
-        # matching order yields the word below, leftmost applied first.
-        self._inverse_sweep = tuple(j for j in self.longest_word for _ in range(3))
         self._n_pairs = tuple(
             (n, n.inverse())
             for n in map(self.pinning.simple_reflection_element, range(rd.rank))
@@ -181,7 +177,16 @@ class Calculus:
         return p
 
     def reflect_longest_inverse(self, p: MixedPoint) -> MixedPoint:
-        for i in self._inverse_sweep:
+        """Inverse of reflect_longest: one reflection per letter, leftmost first.
+
+        f_i^{-1} = Ad(n_i^2) o f_i, and Ad(n_i^2) only flips signs of
+        unipotent entries, which leaves every later denominator
+        D = (-alpha)(t) + x y unchanged.  The reversed longest word is again
+        reduced, so by Tits' lemma the sweep computes Ad(n_0); n_0^2 is
+        central, so Ad(n_0) = Ad(n_0^{-1}).  The domain is the same too:
+        f_i o f_i is defined wherever f_i is, its denominator being 1/D.
+        """
+        for i in self.longest_word:
             p = self.reflect_simple(p, i)
         return p
 
@@ -237,10 +242,8 @@ class Calculus:
         um0, um0_inv, up0, up0_inv = self.anchors(chart.cone)
         l1, d1, r1 = self._ldu(u_plus @ um0_inv, "reorder", "u+ (u0-)^{-1} in the big cell")
         l2, d2, r2 = self._ldu(up0_inv @ u_minus, "reorder", "(u0+)^{-1} u- in the big cell")
-        t1 = pin.torus_coordinates_of(d1)
-        t2 = pin.torus_coordinates_of(d2)
         d1_inv, d2_inv = d1.inverse(), d2.inverse()
-        mid = torus_translate(tuple(a * b for a, b in zip(t1, t2)), chart)
+        mid = torus_translate(pin.torus_coordinates_of(d1 @ d2), chart)
         q = self.reflect_longest(
             MixedPoint(d1 @ um0 @ d1_inv, mid, d2_inv @ up0 @ d2)
         )
@@ -271,19 +274,11 @@ class Calculus:
         h2m, d2g, h2p = self._ldu(g2.inverse(), "act", "g2^{-1} in the big cell")
         l1, dd1, r1 = self._ldu(u1p @ p.u_minus, "act", "u1+ u- in the big cell")
         l2, dd2, r2 = self._ldu(p.u_plus @ h2m, "act", "u+ g2hat- in the big cell")
-        td1 = pin.torus_coordinates_of(dd1)
-        td2 = pin.torus_coordinates_of(dd2)
-        mid = torus_translate(tuple(a * b for a, b in zip(td1, td2)), p.chart)
-        dd1_inv, dd2_inv = dd1.inverse(), dd2.inverse()
-        r = self.reorder(dd1 @ r1 @ dd1_inv, mid, dd2_inv @ l2 @ dd2)
-        d1g_inv, d2g_inv = d1g.inverse(), d2g.inverse()
-        t1c = pin.torus_coordinates_of(d1g)
-        t2hc = pin.torus_coordinates_of(d2g)
-        new_um = u1m @ (d1g @ l1 @ d1g_inv) @ (d1g @ r.u_minus @ d1g_inv)
-        new_chart = torus_translate(
-            tuple(a * b for a, b in zip(t1c, t2hc)), r.chart
-        )
-        new_up = (d2g_inv @ r.u_plus @ d2g) @ (d2g_inv @ r2 @ d2g) @ h2p
+        mid = torus_translate(pin.torus_coordinates_of(dd1 @ dd2), p.chart)
+        r = self.reorder(dd1 @ r1 @ dd1.inverse(), mid, dd2.inverse() @ l2 @ dd2)
+        new_um = u1m @ d1g @ (l1 @ r.u_minus) @ d1g.inverse()
+        new_chart = torus_translate(pin.torus_coordinates_of(d1g @ d2g), r.chart)
+        new_up = d2g.inverse() @ (r.u_plus @ r2) @ d2g @ h2p
         return MixedPoint(new_um, new_chart, new_up)
 
     def act_direct(self, g1: Matrix, p: MixedPoint, g2: Matrix) -> MixedPoint:

@@ -50,9 +50,7 @@ def load_fan(data: dict, dim: int | None = None) -> Fan:
     cones = []
     for entry in data["cones"]:
         rays = entry["rays"] if isinstance(entry, dict) else entry
-        if not rays and dim is None:
-            raise ValueError("zero cone in fan input needs an explicit dimension")
-        cones.append(Cone(rays, dim=dim if not rays else None))
+        cones.append(Cone(rays, dim=dim))
     if dim is None:
         if not cones:
             raise ValueError("cannot infer fan dimension from an empty cone list")

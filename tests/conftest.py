@@ -85,6 +85,20 @@ def _reflect_simple_by_coordinates(calc, p: MixedPoint, i: int) -> MixedPoint:
     return MixedPoint(um, chart, up)
 
 
+def _reflect_longest_inverse_by_cubes(calc, p: MixedPoint) -> MixedPoint:
+    """The inverse longest-word conjugation, three reflections per letter.
+
+    The version before one reflection per letter, kept as a reference.
+    n_i has order 4, so the inverse of n_{j_1}...n_{j_m} is the product of
+    cubes in reversed order; composing the conjugation maps in the matching
+    order sweeps the word leftmost letter first, each letter three times.
+    """
+    for j in calc.longest_word:
+        for _ in range(3):
+            p = calc.reflect_simple(p, j)
+    return p
+
+
 @pytest.fixture(scope="session")
 def reflect_simple_by_coordinates():
     return _reflect_simple_by_coordinates
@@ -98,3 +112,8 @@ def relations_up_to_degree_6():
 @pytest.fixture(scope="session")
 def oracle_accepts():
     return _oracle_accepts
+
+
+@pytest.fixture(scope="session")
+def reflect_longest_inverse_by_cubes():
+    return _reflect_longest_inverse_by_cubes

@@ -136,6 +136,36 @@ def test_reflect_simple_matches_coordinate_oracle(reflect_simple_by_coordinates)
     assert agreed > 100 and refused > 20
 
 
+def test_reflect_longest_inverse_matches_cube_oracle(reflect_longest_inverse_by_cubes):
+    # torus points and limit points of every face of every chamber cone,
+    # translated by random torus elements
+    rng = random.Random(5)
+    agreed = refused = 0
+    for rank, fields in ((1, (False, True)), (2, (False, True)), (3, (False,))):
+        calc = Calculus(RootDatum.of_type("A", rank))
+        charts = []
+        for cone in chamber_cones(calc.rd):
+            for face in cone.faces():
+                delta = (0,) * rank if face.is_zero() else interior_cocharacter(face)
+                charts.append(limit_point(delta, cone))
+        for eps in fields:
+            for chart in charts * 2:
+                p = _oracle_point(calc, rng, chart, eps)
+                try:
+                    want = reflect_longest_inverse_by_cubes(calc, p)
+                except OutsideDomain as e:
+                    with pytest.raises(OutsideDomain) as info:
+                        calc.reflect_longest_inverse(p)
+                    assert info.value.report == e.report
+                    refused += 1
+                    continue
+                got = calc.reflect_longest_inverse(p)
+                assert got == want
+                assert repr(got) == repr(want)
+                agreed += 1
+    assert agreed > 60 and refused > 30
+
+
 def test_reflect_simple_boundary_slots():
     lam0 = limit_point((-1,), RAY1)
     rng = random.Random(8)

@@ -54,6 +54,19 @@ def test_reflection_fourth_power_up_to_sl5():
             assert n @ n != pin.identity()  # order exactly 4
 
 
+def test_longest_representative_facts_up_to_sl5():
+    # the two facts reflect_longest_inverse rests on
+    for rank in range(1, 5):
+        pin = pinning(rank)
+        w0 = pin.rd.longest_word()
+        n0 = pin.weyl_representative(w0)
+        # Tits: the reversed word is reduced for w0^{-1} = w0, same product
+        assert pin.weyl_representative(tuple(reversed(w0))) == n0
+        # n0^2 is central: -I at odd rank, I at even rank
+        sign = -1 if rank % 2 else 1
+        assert n0 @ n0 == pin.identity().map(lambda v: sign * v)
+
+
 def test_torus_element_roundtrip():
     pin = pinning(2)
     coords = (Fraction(2), Fraction(3))

@@ -203,6 +203,17 @@ def test_hilbert_rejects_dim_contradicting_rays(capsys):
     assert "dimension 3" in err
 
 
+def test_analyze_rejects_rays_of_wrong_dimension(tmp_path, capsys):
+    rd = tmp_path / "rd.json"
+    rd.write_text(json.dumps({"type": "A", "rank": 2}))
+    fan = tmp_path / "fan.json"
+    fan.write_text(json.dumps({"cones": [{"rays": [[-1, 0, 0], [0, -1, 0]]}]}))
+    argv = ["analyze", "--root-datum", rd, "--fan", fan, "--out", tmp_path / "r.json"]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 1
+    assert "dimension 2" in err
+
+
 def test_hilbert_rays_from_file(tmp_path, capsys):
     rays = tmp_path / "rays.json"
     rays.write_text("[[1,0],[1,2]]")
