@@ -27,11 +27,11 @@ def show(m):
 g = pin.unipotent_product(pin.negative_order, [Fraction(1)]) @ pin.torus_element(
     (Fraction(2),)
 ) @ pin.unipotent_product(pin.positive_order, [Fraction(1, 2)])
-triple = pin.big_cell_factor(g)
-print("big-cell factorization of", show(g))
-print("  negative coords:", triple.neg_coords)
-print("  torus coords:   ", triple.torus)
-print("  positive coords:", triple.pos_coords)
+lower, diag, upper = pin.ldu(g)
+print("LDU big-cell split of", show(g))
+print("  lower:", show(lower))
+print("  diag: ", show(diag))
+print("  upper:", show(upper))
 print("sign table:", pin.chevalley_signs())
 
 calc = Calculus(rd)

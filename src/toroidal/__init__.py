@@ -37,7 +37,6 @@ from .charts import (
     wonderful_coords,
 )
 from .chevalley import (
-    BigCellTriple,
     NotInBigCell,
     NotSingleRootImage,
     Pinning,

@@ -8,7 +8,6 @@ from tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import Matrix
@@ -17,7 +16,6 @@ from .rootdata import RootDatum
 __all__ = [
     "NotInBigCell",
     "NotSingleRootImage",
-    "BigCellTriple",
     "Pinning",
     "random_element",
 ]
@@ -29,17 +27,6 @@ class NotInBigCell(ValueError):
 
 class NotSingleRootImage(ValueError):
     """Conjugation did not land in a single root group."""
-
-
-@dataclass(frozen=True)
-class BigCellTriple:
-    """Coordinates of u^- t u^+ under declared root orders."""
-
-    neg_order: tuple
-    neg_coords: tuple
-    torus: tuple
-    pos_order: tuple
-    pos_coords: tuple
 
 
 def _is_type_a(rd: RootDatum) -> bool:
@@ -178,49 +165,11 @@ class Pinning:
         ]
         return Matrix(lower), Matrix.diagonal(diag), Matrix(upper)
 
-    def big_cell_factor(self, g: Matrix, neg_order=None, pos_order=None) -> BigCellTriple:
-        neg_order = tuple(neg_order) if neg_order else self.negative_order
-        pos_order = tuple(pos_order) if pos_order else self.positive_order
-        lower, diag, upper = self.ldu(g)
-        torus = self.torus_coordinates_of(diag)
-        return BigCellTriple(
-            neg_order,
-            self.unipotent_refactor(lower, neg_order),
-            torus,
-            pos_order,
-            self.unipotent_refactor(upper, pos_order),
-        )
-
-    def assemble(self, triple: BigCellTriple) -> Matrix:
-        out = self.unipotent_product(triple.neg_order, triple.neg_coords)
-        out = out @ self.torus_element(triple.torus)
-        return out @ self.unipotent_product(triple.pos_order, triple.pos_coords)
-
     def unipotent_product(self, order, coords) -> Matrix:
         out = self.identity()
         for beta, c in zip(order, coords):
             if c != 0:
                 out = out @ self.root_element(beta, c)
-        return out
-
-    def unipotent_refactor(self, u: Matrix, order):
-        """Coordinates making the ordered root-group product equal u.
-
-        The matrix entry at a root's position equals that root's coordinate
-        plus a polynomial in strictly lower heights, so heights are solved
-        in increasing order and the result is certified by reassembly.
-        """
-        order = tuple(tuple(b) for b in order)
-        heights = sorted({abs(self.rd.root_height(b)) for b in order})
-        coords = {b: Fraction(0) for b in order}
-        for h in heights:
-            current = self.unipotent_product(order, tuple(coords[b] for b in order))
-            for b in order:
-                if abs(self.rd.root_height(b)) == h:
-                    coords[b] = coords[b] + (u - current)[self.root_position(b)]
-        out = tuple(coords[b] for b in order)
-        if self.unipotent_product(order, out) != u:
-            raise RuntimeError("refactor must reassemble")
         return out
 
     # -- signs ----------------------------------------------------------------

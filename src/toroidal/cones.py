@@ -108,8 +108,7 @@ def generators_from_halfspaces(normals, dim):
             r = primitive_vector(r)
             if not any(r) or r in seen:
                 continue
-            active = [p for p in processed if dot(p, r) == 0]
-            if (integer_rank(Matrix(active)) if active else 0) == need:
+            if _rank([p for p in processed if dot(p, r) == 0]) == need:
                 kept.append(r)
                 seen.add(r)
         return kept
@@ -153,6 +152,10 @@ def generators_from_halfspaces(normals, dim):
     return tuple(sorted(set(rays))), tuple(sorted(lineality))
 
 
+def _rank(rows) -> int:
+    return integer_rank(Matrix(rows)) if rows else 0
+
+
 def _reduce_mod_lattice(ray, basis):
     """Canonical representative of a ray direction modulo a lattice span."""
     if not basis:
@@ -191,19 +194,19 @@ class Cone:
         self.dim = dim
         prim = sorted({primitive_vector(r) for r in rays})
         dual_rays, dual_lin = generators_from_halfspaces(prim, dim)
-        back, back_lin = generators_from_halfspaces(
-            list(dual_rays)
-            + [b for b in dual_lin]
-            + [tuple(-x for x in b) for b in dual_lin],
-            dim,
-        )
-        if back_lin:
-            raise ValueError("cone contains a line")
-        self.rays = back
         self.dual_rays = dual_rays
         self.dual_lineality = dual_lin
         self._dual_gens = tuple(dual_rays) + tuple(
             v for b in dual_lin for v in (b, tuple(-x for x in b))
+        )
+        # the cone is pointed iff its dual is full-dimensional, and r spans
+        # an extreme ray iff the dual face r-perp is a facet
+        if _rank(self._dual_gens) < dim:
+            raise ValueError("cone contains a line")
+        self.rays = tuple(
+            r
+            for r in prim
+            if _rank([g for g in self._dual_gens if dot(g, r) == 0]) == dim - 1
         )
         self._hilbert = None
         self._hilbert_split = None
@@ -236,10 +239,10 @@ class Cone:
     def _splitting(self):
         """Quotient data splitting the dual monoid off its unit group.
 
-        Returns (group_basis, V, W, facet_normals, extreme_rays) where
-        group_basis are the d unit directions (rows of W[:d]), column
-        operations via V give quotient coordinates x -> (x @ V)[d:], and
-        the facet normals / extreme rays describe the pointed image.
+        Returns (group_basis, quotient, lift, facets, extreme, q_dim) where
+        group_basis are the d unit directions, quotient and lift map
+        between the lattice and the q_dim quotient coordinates, and the
+        facet normals / extreme rays describe the pointed image.
         """
         if self._hilbert_split is not None:
             return self._hilbert_split
@@ -281,16 +284,10 @@ class Cone:
             out = w_inv @ tuple(full)
             return tuple(int(c) for c in out)
 
-        if q_dim:
-            projected = [quotient(r) for r in self.dual_rays]
-            facets, facets_lin = generators_from_halfspaces(projected, q_dim)
-            if facets_lin:
-                raise RuntimeError("pointed quotient must have pointed dual")
-            extreme, ext_lin = generators_from_halfspaces(facets, q_dim)
-            if ext_lin:
-                raise RuntimeError("dual of the pointed quotient must be pointed")
-        else:
-            facets, extreme = (), ()
+        # <r, x> = <(r @ w_inv)[d:], quotient(x)>, since r vanishes on the
+        # unit group; the dual rays map onto the extreme rays of the image
+        facets = tuple(sorted({primitive_vector((r @ w_inv)[d:]) for r in self.rays}))
+        extreme = tuple(sorted({primitive_vector(quotient(g)) for g in self.dual_rays}))
         self._hilbert_split = (group_basis, quotient, lift, facets, extreme, q_dim)
         return self._hilbert_split
 
@@ -629,22 +626,16 @@ def is_proper(fan: Fan, weyl) -> bool:
         raise InvalidFan(violations)
     n = orbit.dim
     maximal = orbit.maximal_cones()
-    full = [c for c in maximal if _cone_rank(c) == n]
+    full = [c for c in maximal if _rank(c.rays) == n]
     if not full or len(full) != len(maximal):
         return False
     for wall in orbit.cones:
-        if _cone_rank(wall) != n - 1:
+        if _rank(wall.rays) != n - 1:
             continue
         touching = [c for c in full if is_face(wall, c)]
         if len(touching) != 2:
             return False
     return True
-
-
-def _cone_rank(c: Cone) -> int:
-    if not c.rays:
-        return 0
-    return integer_rank(Matrix(c.rays))
 
 
 def interior_cocharacter(c: Cone):

@@ -3,13 +3,53 @@
 import collections
 import functools
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
 from toroidal.bigcell import DomainReport, MixedPoint, OutsideVi
 from toroidal.charts import coweight_scale, evaluate_character
-from toroidal.cones import Cone
+from toroidal.cones import Cone, generators_from_halfspaces
+from toroidal.linalg import primitive_vector
+
+
+def _rays_by_double_description(rays, dim):
+    """Extreme rays of the cone spanned by rays, by a second double description.
+
+    The version before the closed form read off the dual, kept as a
+    reference: the dual generators are dualized back, and a lineality in
+    the result means the cone contains a line.
+    """
+    prim = sorted({primitive_vector(r) for r in rays})
+    dual_rays, dual_lin = generators_from_halfspaces(prim, dim)
+    back, back_lin = generators_from_halfspaces(
+        list(dual_rays) + list(dual_lin) + [tuple(-x for x in b) for b in dual_lin],
+        dim,
+    )
+    if back_lin:
+        raise ValueError("cone contains a line")
+    return back
+
+
+def _splitting_by_double_description(cone: Cone):
+    """Facets and extreme rays of the pointed quotient of the dual monoid.
+
+    The version before the closed forms, kept as a reference: the dual rays
+    are projected to the quotient, dualized to get the facet normals, and
+    dualized again to get the extreme rays.
+    """
+    _, quotient, _, _, _, q_dim = cone._splitting()
+    if not q_dim:
+        return (), ()
+    projected = [quotient(g) for g in cone.dual_rays]
+    facets, facets_lin = generators_from_halfspaces(projected, q_dim)
+    if facets_lin:
+        raise RuntimeError("pointed quotient must have pointed dual")
+    extreme, ext_lin = generators_from_halfspaces(facets, q_dim)
+    if ext_lin:
+        raise RuntimeError("dual of the pointed quotient must be pointed")
+    return facets, extreme
 
 
 @functools.cache
@@ -49,6 +89,58 @@ def _oracle_accepts(cone: Cone, values) -> bool:
     return all(monomial(l) == monomial(r) for l, r in _relations_up_to_degree_6(cone))
 
 
+@dataclass(frozen=True)
+class BigCellTriple:
+    """Coordinates of u^- t u^+ under declared root orders."""
+
+    neg_order: tuple
+    neg_coords: tuple
+    torus: tuple
+    pos_order: tuple
+    pos_coords: tuple
+
+
+def _unipotent_refactor(pin, u, order):
+    """Coordinates making the ordered root-group product equal u.
+
+    The matrix entry at a root's position equals that root's coordinate
+    plus a polynomial in strictly lower heights, so heights are solved
+    in increasing order and the result is certified by reassembly.
+    """
+    order = tuple(tuple(b) for b in order)
+    heights = sorted({abs(pin.rd.root_height(b)) for b in order})
+    coords = {b: Fraction(0) for b in order}
+    for h in heights:
+        current = pin.unipotent_product(order, tuple(coords[b] for b in order))
+        for b in order:
+            if abs(pin.rd.root_height(b)) == h:
+                coords[b] = coords[b] + (u - current)[pin.root_position(b)]
+    out = tuple(coords[b] for b in order)
+    if pin.unipotent_product(order, out) != u:
+        raise RuntimeError("refactor must reassemble")
+    return out
+
+
+def _big_cell_factor(pin, g, neg_order=None, pos_order=None) -> BigCellTriple:
+    """Root-group coordinates of the three `Pinning.ldu` factors of g."""
+    neg_order = tuple(neg_order) if neg_order else pin.negative_order
+    pos_order = tuple(pos_order) if pos_order else pin.positive_order
+    lower, diag, upper = pin.ldu(g)
+    return BigCellTriple(
+        neg_order,
+        _unipotent_refactor(pin, lower, neg_order),
+        pin.torus_coordinates_of(diag),
+        pos_order,
+        _unipotent_refactor(pin, upper, pos_order),
+    )
+
+
+def _assemble(pin, triple: BigCellTriple):
+    out = pin.unipotent_product(triple.neg_order, triple.neg_coords)
+    out = out @ pin.torus_element(triple.torus)
+    return out @ pin.unipotent_product(triple.pos_order, triple.pos_coords)
+
+
 def _reflect_simple_by_coordinates(calc, p: MixedPoint, i: int) -> MixedPoint:
     """The single-reflection map f_i, computed coordinate by coordinate.
 
@@ -64,8 +156,8 @@ def _reflect_simple_by_coordinates(calc, p: MixedPoint, i: int) -> MixedPoint:
     minus_a_i = tuple(-v for v in a_i)
     neg_order = tuple(b for b in pin.negative_order if b != minus_a_i) + (minus_a_i,)
     pos_order = (a_i,) + tuple(b for b in pin.positive_order if b != a_i)
-    xs = pin.unipotent_refactor(p.u_minus, neg_order)
-    ys = pin.unipotent_refactor(p.u_plus, pos_order)
+    xs = _unipotent_refactor(pin, p.u_minus, neg_order)
+    ys = _unipotent_refactor(pin, p.u_plus, pos_order)
     x, y = xs[-1], ys[0]
     d = evaluate_character(p.chart, minus_a_i) + x * y
     if d == 0:
@@ -117,3 +209,28 @@ def oracle_accepts():
 @pytest.fixture(scope="session")
 def reflect_longest_inverse_by_cubes():
     return _reflect_longest_inverse_by_cubes
+
+
+@pytest.fixture(scope="session")
+def unipotent_refactor():
+    return _unipotent_refactor
+
+
+@pytest.fixture(scope="session")
+def big_cell_factor():
+    return _big_cell_factor
+
+
+@pytest.fixture(scope="session")
+def assemble():
+    return _assemble
+
+
+@pytest.fixture(scope="session")
+def rays_by_double_description():
+    return _rays_by_double_description
+
+
+@pytest.fixture(scope="session")
+def splitting_by_double_description():
+    return _splitting_by_double_description

@@ -1,6 +1,9 @@
 """Command-line contract: exit codes, report determinism, payload shapes."""
 
 import json
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -212,6 +215,30 @@ def test_analyze_rejects_rays_of_wrong_dimension(tmp_path, capsys):
     code, _, err = run_cli(argv, capsys)
     assert code == 1
     assert "dimension 2" in err
+
+
+def test_hilbert_rejects_cone_with_a_line(capsys):
+    code, out, err = run_cli(["hilbert", "--rays", "[[1,0],[-1,0]]"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "contains a line" in err
+
+
+def test_module_entry_point_runs(capsys):
+    argv = ["verify", "--suite", "signs", "--rank", "1"]
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-m", "toroidal.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    code, out, _ = run_cli(argv, capsys)
+    assert result.returncode == code == 0
+    assert result.stdout == out
 
 
 def test_hilbert_rays_from_file(tmp_path, capsys):

@@ -101,6 +101,41 @@ def test_halfspace_generators_frozen():
     assert Cone(rays, dim=2) == Cone([(1, 0), (1, 2)])
 
 
+def test_cone_rejects_lines():
+    for rays in ([(1, 0), (-1, 0)], [(1, 0), (0, 1), (-1, -1)]):
+        with pytest.raises(ValueError, match="contains a line"):
+            Cone(rays)
+
+
+def test_closed_forms_match_double_description(
+    rays_by_double_description, splitting_by_double_description
+):
+    inputs = [(c.rays, c.dim) for c in cone_catalog()]
+    inputs += [(c.rays, c.dim) for fan in fan_catalog().values() for c in fan.cones]
+    rng = random.Random(406)
+    for _ in range(400):
+        dim = rng.randint(1, 4)
+        rays = [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(rng.randint(0, 5))]
+        inputs.append(([r for r in rays if any(r)], dim))
+    lines = 0
+    for rays, dim in inputs:
+        try:
+            expected = rays_by_double_description(rays, dim)
+        except ValueError as e:
+            with pytest.raises(ValueError, match=str(e)):
+                Cone(rays, dim)
+            lines += 1
+            continue
+        cone = Cone(rays, dim)
+        assert cone.rays == expected
+        assert cone.rays == generators_from_halfspaces(cone.dual_generators(), dim)[0]
+        _, _, _, facets, extreme, _ = cone._splitting()
+        oracle_facets, oracle_extreme = splitting_by_double_description(cone)
+        assert set(facets) == set(oracle_facets)
+        assert set(extreme) == set(oracle_extreme)
+    assert lines > 0
+
+
 # -- Hilbert bases ------------------------------------------------------------
 
 
