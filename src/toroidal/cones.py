@@ -11,14 +11,17 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import prod
 
 from .linalg import (
     Matrix,
     _gauss_jordan,
     dot,
+    integer_inverse,
     integer_kernel,
     integer_rank,
     primitive_vector,
+    smith_normal_form,
 )
 
 __all__ = [
@@ -255,8 +258,6 @@ class Cone:
             )
         d = len(kernel)
         if d:
-            from .linalg import integer_inverse, smith_normal_form
-
             # From U @ kmat @ V = [I_d; 0] the first d columns of U^{-1}
             # span the kernel lattice, so U gives coordinates in which the
             # unit group is the first d axes.
@@ -580,28 +581,20 @@ def supported_in_chamber(fan: Fan, rd) -> bool:
     )
 
 
+def _smith_diagonal(c: Cone) -> list:
+    """The nonzero diagonal entries of the Smith normal form of the ray matrix."""
+    _, d, _ = smith_normal_form(Matrix(c.rays))
+    return [int(d[t, t]) for t in range(min(d.nrows, d.ncols)) if d[t, t]]
+
+
 def cone_index(c: Cone) -> int:
     """Product of the nonzero diagonal entries of the ray matrix's SNF."""
-    if not c.rays:
-        return 1
-    from .linalg import smith_normal_form
-
-    _, d, _ = smith_normal_form(Matrix(c.rays))
-    idx = 1
-    for t in range(min(d.nrows, d.ncols)):
-        if d[t, t]:
-            idx *= int(d[t, t])
-    return idx
+    return prod(_smith_diagonal(c))
 
 
 def cone_is_smooth(c: Cone) -> bool:
-    if not c.rays:
-        return True
-    from .linalg import smith_normal_form
-
-    _, d, _ = smith_normal_form(Matrix(c.rays))
-    nonzero = [int(d[t, t]) for t in range(min(d.nrows, d.ncols)) if d[t, t]]
-    return len(nonzero) == len(c.rays) and all(x == 1 for x in nonzero)
+    diagonal = _smith_diagonal(c)
+    return len(diagonal) == len(c.rays) and all(x == 1 for x in diagonal)
 
 
 def is_smooth(fan: Fan) -> bool:

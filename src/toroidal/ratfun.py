@@ -2,9 +2,15 @@
 
 ``Rat`` is the stdlib ``Fraction`` (always in lowest terms, positive
 denominator).  ``RatFun`` is a reduced quotient of polynomials in one formal
-parameter ``eps`` with rational coefficients; it exists so that one-parameter
-families of points can be manipulated exactly and then evaluated at
-``eps = 0`` to decide whether a boundary limit exists.
+parameter ``eps``; it exists so that one-parameter families of points can be
+manipulated exactly and then evaluated at ``eps = 0`` to decide whether a
+boundary limit exists.
+
+Every element of Q(eps) is a quotient of two integer polynomials, and by
+Gauss's lemma their gcd can be taken and divided out over the integers
+(primitive pseudo-remainder sequence; Geddes, Czapor and Labahn, *Algorithms
+for Computer Algebra*, 1992, ch. 7), so ``RatFun`` arithmetic never builds a
+``Fraction`` coefficient.
 """
 
 from __future__ import annotations
@@ -21,88 +27,60 @@ class PoleAtZero(ArithmeticError):
     """The reduced denominator vanishes at eps = 0, so no limit exists."""
 
 
-# Polynomials are tuples of Fractions, lowest degree first, no trailing zeros.
+# Polynomials are tuples of ints, lowest degree first, no trailing zeros.
 
 
-def _trim(coeffs) -> tuple:
-    cs = list(coeffs)
+def _trim(cs: list) -> tuple:
     while cs and not cs[-1]:
         cs.pop()
     return tuple(cs)
 
 
-def _coerce_poly(x) -> tuple:
+def _ints(x):
+    """Integer coefficients and a positive d with x == coefficients / d."""
     if isinstance(x, (int, Fraction)):
-        return _trim((Fraction(x),))
-    if isinstance(x, (tuple, list)):
-        return _trim(Fraction(c) for c in x)
-    raise TypeError(f"cannot build a polynomial from {x!r}")
+        x = (x,)
+    if not isinstance(x, (tuple, list)):
+        raise TypeError(f"cannot build a polynomial from {x!r}")
+    fs = [Fraction(c) for c in x]
+    d = lcm(*(f.denominator for f in fs))
+    return _trim([f.numerator * (d // f.denominator) for f in fs]), d
 
 
 def _padd(a, b):
-    n = max(len(a), len(b))
-    return _trim(
-        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)
-    )
-
-
-def _scaled(a):
-    """Integer coefficients and a denominator d with a == ints / d."""
-    d = lcm(*(c.denominator for c in a))
-    return [c.numerator * (d // c.denominator) for c in a], d
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return _trim(out)
 
 
 def _pmul(a, b):
-    # convolve integer numerators over one common denominator: one Fraction
-    # per coefficient of the product instead of one per pair of terms
     if not a or not b:
         return ()
-    (ia, da), (ib, db) = _scaled(a), _scaled(b)
     out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(ia):
-        for j, y in enumerate(ib):
-            out[i + j] += x * y
-    return _trim(Fraction(c, da * db) for c in out)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return tuple(out)
 
 
-def _pdivmod(a, b):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
-    r = list(a)
-    while True:
-        r = list(_trim(r))
-        if len(r) < len(b):
-            break
-        c = r[-1] / b[-1]
-        k = len(r) - len(b)
-        q[k] += c
-        for i, cb in enumerate(b):
-            r[k + i] -= c * cb
-        # the leading term cancels exactly, so the loop terminates
-    return _trim(q), _trim(r)
+def _ppow(a, k: int):
+    out = (1,)
+    for _ in range(k):
+        out = _pmul(out, a)
+    return out
 
 
-def _pmonic(a):
-    if not a:
-        return a
-    lead = a[-1]
-    if lead == 1:
-        return a
-    return tuple(c / lead for c in a)
+def _primitive(a):
+    g = _igcd(*a)
+    return a if g <= 1 else tuple(c // g for c in a)
 
 
-def _int_clear(a):
-    """Primitive integer multiple of a Fraction polynomial (content dropped)."""
-    if not a:
-        return ()
-    ints, _ = _scaled(a)
-    g = _igcd(*ints)
-    return tuple(v // g for v in ints)
-
-
-def _ipseudo_rem(a, b):
-    # remainder of lc(b)^k * a modulo b, everything over the integers
+def _prem(a, b):
+    # remainder of lc(b)^k * a modulo b
     r = list(a)
     lb = b[-1]
     while len(r) >= len(b):
@@ -113,32 +91,47 @@ def _ipseudo_rem(a, b):
             r[k + i] -= top * cb
         while r and not r[-1]:
             r.pop()
-        if not r:
-            break
     return tuple(r)
 
 
 def _pgcd(a, b):
-    # primitive pseudo-remainder sequence; plain Euclid over the rationals
-    # swells coefficients badly enough to dominate the whole calculus
-    if not a:
-        return _pmonic(b)
-    if not b:
-        return _pmonic(a)
-    ia, ib = _int_clear(a), _int_clear(b)
-    while ib:
-        ia, ib = ib, _int_clear(_ipseudo_rem(ia, ib))
-    return _pmonic(tuple(Fraction(c) for c in ia))
+    """A primitive gcd of two nonzero integer polynomials, up to sign.
+
+    Primitive pseudo-remainder sequence: plain Euclid over the rationals
+    swells coefficients badly enough to dominate the whole calculus.
+    """
+    a, b = _primitive(a), _primitive(b)
+    while b:
+        a, b = b, _primitive(_prem(a, b))
+    return a
 
 
-def _pstr(a) -> str:
+def _exquo(a, b):
+    """The quotient a / b over the integers, where b divides a exactly."""
+    r = list(a)
+    n, lb = len(b) - 1, b[-1]
+    q = [0] * (len(a) - n)
+    for k in range(len(q) - 1, -1, -1):
+        c, rem = divmod(r[k + n], lb)
+        if rem:
+            raise RuntimeError("polynomial division left a remainder")
+        q[k] = c
+        for i, cb in enumerate(b):
+            r[k + i] -= c * cb
+    if any(r):
+        raise RuntimeError("polynomial division left a remainder")
+    return tuple(q)
+
+
+def _pstr(a, lead: int) -> str:
+    """a / lead, printed with rational coefficients."""
     if not a:
         return "0"
     parts = []
     for k in range(len(a) - 1, -1, -1):
-        c = a[k]
-        if not c:
+        if not a[k]:
             continue
+        c = Fraction(a[k], lead)
         if k == 0:
             parts.append(str(c))
         elif k == 1:
@@ -148,42 +141,43 @@ def _pstr(a) -> str:
     return " + ".join(parts).replace("+ -", "- ")
 
 
-class RatFun:
-    """A reduced ratio of polynomials in ``eps``.
+def _reduced(n, d) -> "RatFun":
+    """The canonical RatFun n/d of two integer polynomials."""
+    if not d:
+        raise ZeroDivisionError("rational function with zero denominator")
+    if not n:
+        return RatFun._raw((), (1,))
+    # a polynomial common factor needs positive degree on both sides
+    if len(n) > 1 and len(d) > 1:
+        g = _pgcd(n, d)
+        if len(g) > 1:
+            n, d = _exquo(n, g), _exquo(d, g)
+    c = _igcd(*n, *d)
+    if d[-1] < 0:
+        c = -c
+    if c != 1:
+        n = tuple(x // c for x in n)
+        d = tuple(x // c for x in d)
+    return RatFun._raw(n, d)
 
-    Canonical form (gcd one, monic denominator) makes structural equality
-    coincide with mathematical equality, so these are safe dictionary values
-    and support exact ``==`` against ints and Fractions.
+
+class RatFun:
+    """A reduced ratio of integer polynomials in ``eps``.
+
+    Canonical form: ``num`` and ``den`` have no common polynomial factor,
+    their integer coefficients together have content one, and ``den`` has a
+    positive leading coefficient.  So structural equality coincides with
+    mathematical equality, these are safe dictionary values, and they support
+    exact ``==`` against ints and Fractions.  The printed form divides by the
+    leading coefficient of ``den``, so it shows a monic denominator.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num=0, den=1):
-        ncs = num.num if isinstance(num, RatFun) else _coerce_poly(num)
-        dcs = den.num if isinstance(den, RatFun) else _coerce_poly(den)
-        if isinstance(num, RatFun) or isinstance(den, RatFun):
-            # allow RatFun/RatFun via cross multiplication
-            nn = num if isinstance(num, RatFun) else RatFun(num)
-            dd = den if isinstance(den, RatFun) else RatFun(den)
-            ncs = _pmul(nn.num, dd.den)
-            dcs = _pmul(nn.den, dd.num)
-        if not dcs:
-            raise ZeroDivisionError("rational function with zero denominator")
-        if not ncs or len(dcs) == 1:
-            lead = dcs[-1] if len(dcs) == 1 else Fraction(1)
-            self.num = ncs if lead == 1 else tuple(c / lead for c in ncs)
-            self.den = (Fraction(1),)
-            return
-        g = _pgcd(ncs, dcs)
-        if len(g) > 1:
-            ncs = _pdivmod(ncs, g)[0]
-            dcs = _pdivmod(dcs, g)[0]
-        lead = dcs[-1]
-        if lead != 1:
-            ncs = tuple(c / lead for c in ncs)
-            dcs = tuple(c / lead for c in dcs)
-        self.num = ncs
-        self.den = dcs
+        (n, nd), (d, dd) = _ints(num), _ints(den)
+        r = _reduced(_pmul(n, (dd,)), _pmul(d, (nd,)))
+        self.num, self.den = r.num, r.den
 
     # -- constructors ------------------------------------------------------
 
@@ -206,7 +200,7 @@ class RatFun:
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
-        return self.num[0] if self.num else Fraction(0)
+        return Fraction(self.num[0], self.den[0]) if self.num else Fraction(0)
 
     def __bool__(self) -> bool:
         return bool(self.num)
@@ -218,7 +212,8 @@ class RatFun:
         if isinstance(x, RatFun):
             return x
         if isinstance(x, (int, Fraction)):
-            return RatFun._raw(_coerce_poly(x), (Fraction(1),))
+            f = Fraction(x)
+            return RatFun._raw((f.numerator,) if f else (), (f.denominator,))
         return None
 
     def __add__(self, other):
@@ -226,7 +221,7 @@ class RatFun:
         if o is None:
             return NotImplemented
         num = _padd(_pmul(self.num, o.den), _pmul(o.num, self.den))
-        return RatFun(num, _pmul(self.den, o.den))
+        return _reduced(num, _pmul(self.den, o.den))
 
     __radd__ = __add__
 
@@ -249,7 +244,7 @@ class RatFun:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return RatFun(_pmul(self.num, o.num), _pmul(self.den, o.den))
+        return _reduced(_pmul(self.num, o.num), _pmul(self.den, o.den))
 
     __rmul__ = __mul__
 
@@ -259,7 +254,7 @@ class RatFun:
             return NotImplemented
         if not o.num:
             raise ZeroDivisionError("division by the zero rational function")
-        return RatFun(_pmul(self.num, o.den), _pmul(self.den, o.num))
+        return _reduced(_pmul(self.num, o.den), _pmul(self.den, o.num))
 
     def __rtruediv__(self, other):
         o = self._lift(other)
@@ -268,24 +263,18 @@ class RatFun:
         return o / self
 
     def __pow__(self, k):
+        # powers of a reduced quotient are reduced: no gcd to take
         if not isinstance(k, int):
             return NotImplemented
-        if k == 0:
-            return RatFun(1)
-        base = self
+        num, den = self.num, self.den
         if k < 0:
-            if not self.num:
+            if not num:
                 raise ZeroDivisionError("0 cannot be raised to a negative power")
-            base = RatFun._raw(self.den, self.num)
-            base = RatFun(base.num, base.den)  # renormalize (monic denominator)
-            k = -k
-        out = RatFun(1)
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+            num, den, k = den, num, -k
+        num, den = _ppow(num, k), _ppow(den, k)
+        if den[-1] < 0:
+            num, den = tuple(-c for c in num), tuple(-c for c in den)
+        return RatFun._raw(num, den)
 
     # -- comparison --------------------------------------------------------
 
@@ -301,9 +290,10 @@ class RatFun:
         return hash((self.num, self.den))
 
     def __repr__(self):
-        if self.den == (Fraction(1),):
-            return _pstr(self.num)
-        return f"({_pstr(self.num)})/({_pstr(self.den)})"
+        lead = self.den[-1]
+        if len(self.den) == 1:
+            return _pstr(self.num, lead)
+        return f"({_pstr(self.num, lead)})/({_pstr(self.den, lead)})"
 
     # -- evaluation --------------------------------------------------------
 
@@ -311,8 +301,7 @@ class RatFun:
         d0 = self.den[0]
         if not d0:
             raise PoleAtZero(f"{self} has a pole at eps = 0")
-        n0 = self.num[0] if self.num else Fraction(0)
-        return n0 / d0
+        return Fraction(self.num[0], d0) if self.num else Fraction(0)
 
 
 EPS = RatFun.variable()

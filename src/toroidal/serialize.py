@@ -34,6 +34,8 @@ def load_root_datum(data: dict) -> RootDatum:
     if not isinstance(data, dict):
         raise ValueError("root datum must be a JSON object")
     if "cartan_matrix" in data:
+        if "type" in data or "rank" in data:
+            raise ValueError('root datum names both "cartan_matrix" and "type"/"rank"')
         return RootDatum(data["cartan_matrix"])
     if "type" in data and "rank" in data:
         rank = data["rank"]

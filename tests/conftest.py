@@ -5,6 +5,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd as _igcd, lcm
 
 import pytest
 
@@ -12,6 +13,7 @@ from toroidal.bigcell import DomainReport, MixedPoint, OutsideVi
 from toroidal.charts import coweight_scale, evaluate_character
 from toroidal.cones import Cone, generators_from_halfspaces
 from toroidal.linalg import primitive_vector
+from toroidal.ratfun import PoleAtZero
 
 
 def _rays_by_double_description(rays, dim):
@@ -191,6 +193,302 @@ def _reflect_longest_inverse_by_cubes(calc, p: MixedPoint) -> MixedPoint:
     return p
 
 
+# Polynomials of the Fraction-coefficient RatFun oracle: tuples of Fractions,
+# lowest degree first, no trailing zeros.
+
+
+def _qtrim(coeffs) -> tuple:
+    cs = list(coeffs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def _qcoerce(x) -> tuple:
+    if isinstance(x, (int, Fraction)):
+        return _qtrim((Fraction(x),))
+    if isinstance(x, (tuple, list)):
+        return _qtrim(Fraction(c) for c in x)
+    raise TypeError(f"cannot build a polynomial from {x!r}")
+
+
+def _qadd(a, b):
+    n = max(len(a), len(b))
+    return _qtrim(
+        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)
+    )
+
+
+def _qscaled(a):
+    """Integer coefficients and a denominator d with a == ints / d."""
+    d = lcm(*(c.denominator for c in a))
+    return [c.numerator * (d // c.denominator) for c in a], d
+
+
+def _qmul(a, b):
+    # convolve integer numerators over one common denominator: one Fraction
+    # per coefficient of the product instead of one per pair of terms
+    if not a or not b:
+        return ()
+    (ia, da), (ib, db) = _qscaled(a), _qscaled(b)
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(ia):
+        for j, y in enumerate(ib):
+            out[i + j] += x * y
+    return _qtrim(Fraction(c, da * db) for c in out)
+
+
+def _qdivmod(a, b):
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
+    r = list(a)
+    while True:
+        r = list(_qtrim(r))
+        if len(r) < len(b):
+            break
+        c = r[-1] / b[-1]
+        k = len(r) - len(b)
+        q[k] += c
+        for i, cb in enumerate(b):
+            r[k + i] -= c * cb
+        # the leading term cancels exactly, so the loop terminates
+    return _qtrim(q), _qtrim(r)
+
+
+def _qmonic(a):
+    if not a:
+        return a
+    lead = a[-1]
+    if lead == 1:
+        return a
+    return tuple(c / lead for c in a)
+
+
+def _qint_clear(a):
+    """Primitive integer multiple of a Fraction polynomial (content dropped)."""
+    if not a:
+        return ()
+    ints, _ = _qscaled(a)
+    g = _igcd(*ints)
+    return tuple(v // g for v in ints)
+
+
+def _qpseudo_rem(a, b):
+    # remainder of lc(b)^k * a modulo b, everything over the integers
+    r = list(a)
+    lb = b[-1]
+    while len(r) >= len(b):
+        top = r[-1]
+        k = len(r) - len(b)
+        r = [c * lb for c in r]
+        for i, cb in enumerate(b):
+            r[k + i] -= top * cb
+        while r and not r[-1]:
+            r.pop()
+        if not r:
+            break
+    return tuple(r)
+
+
+def _qgcd(a, b):
+    # primitive pseudo-remainder sequence; plain Euclid over the rationals
+    # swells coefficients badly enough to dominate the whole calculus
+    if not a:
+        return _qmonic(b)
+    if not b:
+        return _qmonic(a)
+    ia, ib = _qint_clear(a), _qint_clear(b)
+    while ib:
+        ia, ib = ib, _qint_clear(_qpseudo_rem(ia, ib))
+    return _qmonic(tuple(Fraction(c) for c in ia))
+
+
+def _qstr(a) -> str:
+    if not a:
+        return "0"
+    parts = []
+    for k in range(len(a) - 1, -1, -1):
+        c = a[k]
+        if not c:
+            continue
+        if k == 0:
+            parts.append(str(c))
+        elif k == 1:
+            parts.append("eps" if c == 1 else f"{c}*eps")
+        else:
+            parts.append(f"eps^{k}" if c == 1 else f"{c}*eps^{k}")
+    return " + ".join(parts).replace("+ -", "- ")
+
+
+class FractionRatFun:
+    """A reduced ratio of polynomials in ``eps`` with Fraction coefficients.
+
+    The ``RatFun`` before integer coefficients, kept as a reference.
+    Canonical form (gcd one, monic denominator) makes structural equality
+    coincide with mathematical equality, so these are safe dictionary values
+    and support exact ``==`` against ints and Fractions.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num=0, den=1):
+        ncs = num.num if isinstance(num, FractionRatFun) else _qcoerce(num)
+        dcs = den.num if isinstance(den, FractionRatFun) else _qcoerce(den)
+        if isinstance(num, FractionRatFun) or isinstance(den, FractionRatFun):
+            # allow FractionRatFun/FractionRatFun via cross multiplication
+            nn = num if isinstance(num, FractionRatFun) else FractionRatFun(num)
+            dd = den if isinstance(den, FractionRatFun) else FractionRatFun(den)
+            ncs = _qmul(nn.num, dd.den)
+            dcs = _qmul(nn.den, dd.num)
+        if not dcs:
+            raise ZeroDivisionError("rational function with zero denominator")
+        if not ncs or len(dcs) == 1:
+            lead = dcs[-1] if len(dcs) == 1 else Fraction(1)
+            self.num = ncs if lead == 1 else tuple(c / lead for c in ncs)
+            self.den = (Fraction(1),)
+            return
+        g = _qgcd(ncs, dcs)
+        if len(g) > 1:
+            ncs = _qdivmod(ncs, g)[0]
+            dcs = _qdivmod(dcs, g)[0]
+        lead = dcs[-1]
+        if lead != 1:
+            ncs = tuple(c / lead for c in ncs)
+            dcs = tuple(c / lead for c in dcs)
+        self.num = ncs
+        self.den = dcs
+
+    # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def variable(cls) -> "FractionRatFun":
+        return cls((0, 1))
+
+    @classmethod
+    def _raw(cls, num, den) -> "FractionRatFun":
+        f = object.__new__(cls)
+        f.num = num
+        f.den = den
+        return f
+
+    # -- predicates --------------------------------------------------------
+
+    def is_constant(self) -> bool:
+        return len(self.num) <= 1 and len(self.den) == 1
+
+    def constant_value(self) -> Fraction:
+        if not self.is_constant():
+            raise ValueError(f"{self} is not constant")
+        return self.num[0] if self.num else Fraction(0)
+
+    def __bool__(self) -> bool:
+        return bool(self.num)
+
+    # -- arithmetic --------------------------------------------------------
+
+    @staticmethod
+    def _lift(x):
+        if isinstance(x, FractionRatFun):
+            return x
+        if isinstance(x, (int, Fraction)):
+            return FractionRatFun._raw(_qcoerce(x), (Fraction(1),))
+        return None
+
+    def __add__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        num = _qadd(_qmul(self.num, o.den), _qmul(o.num, self.den))
+        return FractionRatFun(num, _qmul(self.den, o.den))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FractionRatFun._raw(tuple(-c for c in self.num), self.den)
+
+    def __sub__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return o + (-self)
+
+    def __mul__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return FractionRatFun(_qmul(self.num, o.num), _qmul(self.den, o.den))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        if not o.num:
+            raise ZeroDivisionError("division by the zero rational function")
+        return FractionRatFun(_qmul(self.num, o.den), _qmul(self.den, o.num))
+
+    def __rtruediv__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return o / self
+
+    def __pow__(self, k):
+        if not isinstance(k, int):
+            return NotImplemented
+        if k == 0:
+            return FractionRatFun(1)
+        base = self
+        if k < 0:
+            if not self.num:
+                raise ZeroDivisionError("0 cannot be raised to a negative power")
+            base = FractionRatFun._raw(self.den, self.num)
+            base = FractionRatFun(base.num, base.den)  # renormalize (monic denominator)
+            k = -k
+        out = FractionRatFun(1)
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
+
+    # -- comparison --------------------------------------------------------
+
+    def __eq__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return self.num == o.num and self.den == o.den
+
+    def __hash__(self):
+        if self.is_constant():
+            return hash(self.constant_value())
+        return hash((self.num, self.den))
+
+    def __repr__(self):
+        if self.den == (Fraction(1),):
+            return _qstr(self.num)
+        return f"({_qstr(self.num)})/({_qstr(self.den)})"
+
+    # -- evaluation --------------------------------------------------------
+
+    def at_zero(self) -> Fraction:
+        d0 = self.den[0]
+        if not d0:
+            raise PoleAtZero(f"{self} has a pole at eps = 0")
+        n0 = self.num[0] if self.num else Fraction(0)
+        return n0 / d0
+
+
 @pytest.fixture(scope="session")
 def reflect_simple_by_coordinates():
     return _reflect_simple_by_coordinates
@@ -234,3 +532,8 @@ def rays_by_double_description():
 @pytest.fixture(scope="session")
 def splitting_by_double_description():
     return _splitting_by_double_description
+
+
+@pytest.fixture(scope="session")
+def fraction_ratfun():
+    return FractionRatFun

@@ -285,3 +285,20 @@ def test_analyze_rejects_non_integer_root_datum(root, fan, tmp_path, capsys):
     code, _, err = run_cli(argv, capsys)
     assert code == 1
     assert "integer" in err
+
+
+@pytest.mark.parametrize(
+    "root",
+    [
+        {"cartan_matrix": [[2, 0], [0, 2]], "type": "A"},
+        {"cartan_matrix": [[2, 0], [0, 2]], "rank": 2},
+        {"cartan_matrix": [[2, 0], [0, 2]], "type": "A", "rank": 2},
+    ],
+)
+def test_analyze_rejects_conflicting_root_datum_keys(root, tmp_path, capsys):
+    rd = tmp_path / "rd.json"
+    rd.write_text(json.dumps(root))
+    argv = analyze_args(rd, "fan_wedge.json", tmp_path / "r.json")
+    code, _, err = run_cli(argv, capsys)
+    assert code == 1
+    assert "cartan_matrix" in err

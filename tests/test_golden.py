@@ -5,7 +5,10 @@ bytes against `fixtures/golden.json`.  Refactors of the suites, the linear
 algebra or the cone layer must leave these bytes unchanged.  After a change
 that is meant to alter a report, rerecord with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [CASE ...]
+
+Named cases are rerecorded and every other entry is kept byte for byte;
+with no names, every case is recorded afresh.
 """
 
 import contextlib
@@ -38,6 +41,7 @@ _VERIFY = [
     ("equivalence", 3, 2, 0),
     ("action", 2, 4, 0),
     ("theta", 2, 4, 0),
+    ("limits", 3, 1, 8),
 ]
 
 _FIXTURE_FANS = [
@@ -96,14 +100,18 @@ def test_golden_output(case, tmp_path):
     assert _run(argv, files, tmp_path) == _GOLDEN[case]
 
 
-def _record():
-    golden = {}
-    for case, (argv, files) in sorted(_CASES.items()):
+def _record(names):
+    unknown = sorted(set(names) - set(_CASES))
+    if unknown:
+        sys.exit(f"unknown cases: {', '.join(unknown)}")
+    golden = dict(_GOLDEN) if names else {}
+    for case in sorted(names or _CASES):
+        argv, files = _CASES[case]
         with tempfile.TemporaryDirectory() as tmp:
             golden[case] = _run(argv, files, Path(tmp))
     GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
-    print(f"recorded {len(golden)} cases in {GOLDEN}", file=sys.stderr)
+    print(f"recorded {len(names or _CASES)} cases in {GOLDEN}", file=sys.stderr)
 
 
 if __name__ == "__main__":
-    _record()
+    _record(sys.argv[1:])

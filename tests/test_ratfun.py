@@ -1,10 +1,12 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toroidal.ratfun import EPS, PoleAtZero, RatFun, evaluate_at_zero
+from toroidal.ratfun import EPS, PoleAtZero, RatFun, _exquo, evaluate_at_zero
 
 rationals = st.fractions(
     min_value=-30, max_value=30, max_denominator=7
@@ -52,6 +54,14 @@ def test_printed_form_has_monic_denominator():
     assert repr(-f * EPS**2) == "(-1/3*eps^3 - 1/6*eps^2)/(eps - 2)"
     assert repr(RatFun((Fraction(2, 3), 4), (6, 0, 3))) == "(4/3*eps + 2/9)/(eps^2 + 2)"
     assert repr(Fraction(3, 4) - EPS**2 / 2) == "-1/2*eps^2 + 3/4"
+
+
+def test_exact_quotient_raises_on_a_remainder():
+    assert _exquo((-2, 1, 1), (-1, 1)) == (2, 1)
+    with pytest.raises(RuntimeError, match="remainder"):
+        _exquo((1, 1), (2, 1))
+    with pytest.raises(RuntimeError, match="remainder"):
+        _exquo((1, 1), (1, 2))
 
 
 def test_power_negative_exponent():
@@ -116,3 +126,109 @@ def test_specialization_is_a_homomorphism(a, b):
         return
     assert evaluate_at_zero(a + b) == va + vb
     assert evaluate_at_zero(a * b) == va * vb
+
+
+def _random_tree(rng, depth):
+    """A random expression: leaves are constants and eps-linear terms."""
+    if depth == 0 or rng.random() < 0.25:
+        kind = rng.randrange(4)
+        c = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+        if kind == 0:
+            return ("const", c)
+        if kind == 1:
+            return ("int", rng.randint(-3, 3))
+        if kind == 2:
+            return ("eps",)
+        return ("lin", c, Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+    op = rng.choice(["+", "-", "*", "/", "**", "neg"])
+    if op == "**":
+        return (op, _random_tree(rng, depth - 1), rng.randint(-4, 5))
+    if op == "neg":
+        return (op, _random_tree(rng, depth - 1))
+    return (op, _random_tree(rng, depth - 1), _random_tree(rng, depth - 1))
+
+
+def _evaluate(tree, cls):
+    op = tree[0]
+    if op in ("const", "int"):
+        return tree[1]
+    if op == "eps":
+        return cls.variable()
+    if op == "lin":
+        return cls(tree[1]) + tree[2] * cls.variable()
+    if op == "neg":
+        return -_evaluate(tree[1], cls)
+    a = _evaluate(tree[1], cls)
+    if op == "**":
+        # an int base would give a float at negative exponents
+        return (Fraction(a) if isinstance(a, int) else a) ** tree[2]
+    b = _evaluate(tree[2], cls)
+    if isinstance(a, int) and not isinstance(b, cls):
+        a = Fraction(a)  # int / int would give a float
+    if op == "+":
+        return a + b
+    if op == "-":
+        return a - b
+    if op == "*":
+        return a * b
+    return a / b
+
+
+def _outcome(tree, cls):
+    try:
+        return _evaluate(tree, cls)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+def _limit(value):
+    try:
+        return value.at_zero()
+    except PoleAtZero:
+        return PoleAtZero
+
+
+def _assert_canonical(f):
+    assert f.den and f.den[-1] > 0
+    assert all(type(c) is int for c in f.num + f.den)
+    assert math.gcd(*f.num, *f.den) == 1
+    assert not f.num or f.num[-1]
+
+
+def test_integer_form_matches_fraction_oracle(fraction_ratfun):
+    rng = random.Random(20261018)
+    new, old = [], []
+    for _ in range(4000):
+        tree = _random_tree(rng, rng.randint(1, 3))
+        v, w = _outcome(tree, RatFun), _outcome(tree, fraction_ratfun)
+        if v is ZeroDivisionError or w is ZeroDivisionError:
+            assert v is w, tree
+            continue
+        if not isinstance(v, RatFun):
+            assert not isinstance(w, fraction_ratfun) and v == w, tree
+            continue
+        _assert_canonical(v)
+        assert repr(v) == repr(w), tree
+        assert v.is_constant() == w.is_constant(), tree
+        if v.is_constant():
+            assert v.constant_value() == w.constant_value()
+            assert hash(v) == hash(v.constant_value()) == hash(w.constant_value())
+            assert v == w.constant_value()
+        assert _limit(v) == _limit(w), tree
+        new.append(v)
+        old.append(w)
+    assert len(new) > 2500
+    for i in range(1, len(new)):
+        j = rng.randrange(i)
+        assert (new[i] == new[j]) == (old[i] == old[j])
+        assert (new[i] == new[i - 1]) == (old[i] == old[i - 1])
+    for _ in range(500):
+        a, b, c = (rng.choice(new) for _ in range(3))
+        if not b or not c:
+            continue
+        left, right = (a * c) / (b * c), a / b
+        _assert_canonical(left)
+        assert left == right and hash(left) == hash(right)
+        assert a + a == 2 * a and hash(a + a) == hash(2 * a)
+        assert (a - c) + c == a
+        assert -(-a) == a and (a * b) / b == a
