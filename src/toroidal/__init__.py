@@ -57,6 +57,7 @@ from .cones import (
     intersect,
     is_face,
     is_proper,
+    is_proper_in_chamber,
     is_smooth,
     orbit_fan,
     supported_in_chamber,

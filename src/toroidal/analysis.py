@@ -10,7 +10,7 @@ from .cones import (
     face_witness,
     fan_validate,
     interior_cocharacter,
-    is_proper,
+    is_proper_in_chamber,
     is_smooth,
     supported_in_chamber,
 )
@@ -92,11 +92,11 @@ def analyze(rd: RootDatum, fan: Fan) -> dict:
                 adjacency.append([index_of[f], index_of[c]])
     report["adjacency"] = sorted(adjacency)
     if chamber_ok:
-        # The closed chamber C is a strict fundamental domain, so w.sigma
-        # meets tau in sigma, tau and Fix(w) together, and Fix(w) cuts a face
-        # out of C: the Weyl translates of a valid fan in C form a fan, and
-        # is_proper cannot raise InvalidFan here.
-        report["proper"] = is_proper(fan, rd.weyl)
+        # The closed chamber C is a strict fundamental domain for W: the
+        # translates of C cover N_R and meet only along their walls.  So the
+        # Weyl translates of a valid fan in C cover N_R iff the fan covers C,
+        # which its walls decide without building the orbit fan.
+        report["proper"] = is_proper_in_chamber(fan, rd.negative_chamber())
     return report
 
 

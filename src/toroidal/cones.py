@@ -3,8 +3,8 @@
 Cones are given by primitive integer ray generators and must be strongly
 convex; the dual cone, the Hilbert basis of the dual monoid, the face
 lattice and fan-level predicates (validity, chamber support, smoothness,
-properness via the wall criterion on the Weyl orbit fan) are all computed
-in exact integer/rational arithmetic.
+properness by counting walls, in the chamber or on the Weyl orbit fan) are
+all computed in exact integer/rational arithmetic.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ __all__ = [
     "supported_in_chamber",
     "is_smooth",
     "is_proper",
+    "is_proper_in_chamber",
     "interior_cocharacter",
 ]
 
@@ -525,6 +526,7 @@ class Fan:
                 closed.add(f)
         self.dim = dim
         self.cones = tuple(sorted(closed, key=lambda c: (len(c.rays), c.rays)))
+        self._members = frozenset(closed)
 
     def __eq__(self, other):
         if not isinstance(other, Fan):
@@ -538,7 +540,7 @@ class Fan:
         return f"Fan(dim={self.dim}, cones={len(self.cones)})"
 
     def contains_cone(self, c: Cone) -> bool:
-        return any(c == x for x in self.cones)
+        return c in self._members
 
     def maximal_cones(self):
         out = []
@@ -551,28 +553,38 @@ class Fan:
         return tuple(out)
 
 
+def _pair_violation(fan: Fan, a: Cone, b: Cone):
+    """The violation of the fan axioms by a pair of cones, or None."""
+    meet = intersect(a, b)
+    problems = []
+    if not fan.contains_cone(meet):
+        problems.append("intersection missing from fan")
+    if not is_face(meet, a) or not is_face(meet, b):
+        problems.append("intersection is not a common face")
+    if not problems:
+        return None
+    return {
+        "cones": [list(map(list, a.rays)), list(map(list, b.rays))],
+        "intersection": list(map(list, meet.rays)),
+        "reason": "; ".join(problems),
+    }
+
+
 def fan_validate(fan: Fan):
-    """List of violations of the fan axioms; empty means valid."""
-    violations = []
-    cones = fan.cones
-    for i in range(len(cones)):
-        for j in range(i + 1, len(cones)):
-            meet = intersect(cones[i], cones[j])
-            problems = []
-            if not fan.contains_cone(meet):
-                problems.append("intersection missing from fan")
-            if not is_face(meet, cones[i]) or not is_face(meet, cones[j]):
-                problems.append("intersection is not a common face")
-            if problems:
-                violations.append(
-                    {
-                        "cones": [list(map(list, cones[i].rays)),
-                                  list(map(list, cones[j].rays))],
-                        "intersection": list(map(list, meet.rays)),
-                        "reason": "; ".join(problems),
-                    }
-                )
-    return violations
+    """List of violations of the fan axioms; empty means valid.
+
+    A fan is face-closed, and a face of a face is a face, so if every two
+    maximal cones meet in a common face then so do every two cones (Fulton,
+    *Introduction to Toric Varieties*, 1993, section 1.4).  Only when some
+    maximal pair fails are all pairs listed.
+    """
+    maximal = fan.maximal_cones()
+    if all(_pair_violation(fan, a, b) is None for a, b in itertools.combinations(maximal, 2)):
+        return []
+    violations = [
+        _pair_violation(fan, a, b) for a, b in itertools.combinations(fan.cones, 2)
+    ]
+    return [v for v in violations if v is not None]
 
 
 def supported_in_chamber(fan: Fan, rd) -> bool:
@@ -603,32 +615,63 @@ def is_smooth(fan: Fan) -> bool:
 
 def orbit_fan(fan: Fan, weyl) -> Fan:
     """The fan of all Weyl translates of the given cones."""
+    maximal = fan.maximal_cones()
     moved = []
     for w in weyl.elements:
-        for c in fan.cones:
+        for c in maximal:
             rays = [tuple(int(x) for x in (w.n_matrix @ r)) for r in c.rays]
             moved.append(Cone(rays, fan.dim))
     return Fan(moved, fan.dim)
 
 
+def _covers(fan: Fan, boundary) -> bool:
+    """Whether a valid fan covers the cone {x : <g, x> >= 0 for g in boundary}.
+
+    True iff every maximal cone is full-dimensional and every codimension-1
+    cone (wall) is a face of exactly one full cone when it lies in some
+    hyperplane g-perp, g in boundary, and of exactly two otherwise.  With an
+    empty boundary this is completeness.  The boundary must be the facet
+    normals of a cone that contains the support of the fan.
+    """
+    n = fan.dim
+    maximal = fan.maximal_cones()
+    full = [c for c in maximal if _rank(c.rays) == n]
+    if not full or len(full) != len(maximal):
+        return False
+    for wall in fan.cones:
+        if _rank(wall.rays) != n - 1:
+            continue
+        rays = frozenset(wall.rays)
+        touching = sum(rays in c.face_ray_sets() for c in full)
+        on_boundary = any(all(dot(g, r) == 0 for r in wall.rays) for g in boundary)
+        if touching != (1 if on_boundary else 2):
+            return False
+    return True
+
+
 def is_proper(fan: Fan, weyl) -> bool:
-    """Completeness of the Weyl orbit fan, by the wall-pairing criterion."""
+    """Completeness of the Weyl orbit fan, by the wall-pairing criterion.
+
+    Raises InvalidFan when the Weyl translates of the cones do not form a
+    fan, which can happen when the fan leaves the chamber.
+    """
     orbit = orbit_fan(fan, weyl)
     violations = fan_validate(orbit)
     if violations:
         raise InvalidFan(violations)
-    n = orbit.dim
-    maximal = orbit.maximal_cones()
-    full = [c for c in maximal if _rank(c.rays) == n]
-    if not full or len(full) != len(maximal):
-        return False
-    for wall in orbit.cones:
-        if _rank(wall.rays) != n - 1:
-            continue
-        touching = [c for c in full if is_face(wall, c)]
-        if len(touching) != 2:
-            return False
-    return True
+    return _covers(orbit, ())
+
+
+def is_proper_in_chamber(fan: Fan, chamber: Cone) -> bool:
+    """Completeness of the Weyl translates of a fan in the chamber.
+
+    Precondition: the fan is valid and supported in `chamber`, the closed
+    chamber of the Weyl group (for example `RootDatum.negative_chamber()`).
+    The chamber is a strict fundamental domain, so the translates cover N_R
+    iff the fan covers the chamber, which the walls of the fan decide.  Under
+    the precondition this equals `is_proper(fan, weyl)`.
+    """
+    return _covers(fan, chamber.dual_rays)
 
 
 def interior_cocharacter(c: Cone):

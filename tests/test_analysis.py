@@ -1,8 +1,19 @@
 import json
+import random
 from fractions import Fraction
 
+import pytest
+
 from toroidal.analysis import analyze, report_status
-from toroidal.cones import Cone, Fan, fan_validate, orbit_fan
+import toroidal.cli as cli
+from toroidal.cones import (
+    Cone,
+    Fan,
+    fan_validate,
+    is_proper,
+    is_proper_in_chamber,
+    orbit_fan,
+)
 from toroidal.linalg import primitive_vector
 from toroidal.rootdata import RootDatum
 from toroidal.serialize import (
@@ -146,3 +157,87 @@ def test_weyl_translates_of_chamber_fans_form_a_fan():
         assert fan_validate(fan) == []
         assert fan_validate(orbit_fan(fan, rd.weyl)) == []
         assert isinstance(analyze(rd, fan)["proper"], bool)
+
+
+def _random_chamber_fans(rd, rng, count):
+    """Seeded star subdivisions of the chamber, with cones dropped or cut to faces."""
+    n = rd.rank
+    out = []
+    for _ in range(count):
+        maximal = [rd.negative_chamber()]
+        for _ in range(rng.randint(0, 3)):
+            # the cones stay simplicial, so their facets are the faces of n - 1 rays
+            cone = maximal.pop(rng.randrange(len(maximal)))
+            weights = [rng.randint(1, 3) for _ in cone.rays]
+            v = primitive_vector(
+                [sum(w * r[k] for w, r in zip(weights, cone.rays)) for k in range(n)]
+            )
+            maximal += [
+                Cone(list(f) + [v]) for f in cone.face_ray_sets() if len(f) == n - 1
+            ]
+        kept = []
+        for cone in maximal:
+            roll = rng.random()
+            if roll < 0.15:
+                continue
+            if roll < 0.3:
+                cone = rng.choice(cone.faces()[1:-1])
+            kept.append(cone)
+        out.append((rd, Fan(kept, dim=n)))
+    return out
+
+
+def _basic_chamber_fans(rd):
+    """The chamber fan, the zero fan and the single-ray fans of a root datum."""
+    chamber = rd.negative_chamber()
+    fans = [Fan([chamber], dim=rd.rank), Fan([], dim=rd.rank)]
+    return [(rd, fan) for fan in fans + [Fan([Cone([r])], dim=rd.rank) for r in chamber.rays]]
+
+
+def _wall_count_verdicts(cases):
+    """Chamber wall-count verdicts, each checked against the orbit oracle."""
+    verdicts = []
+    for rd, fan in cases:
+        assert fan_validate(fan) == []
+        chamber = rd.negative_chamber()
+        assert all(chamber.contains(r) for c in fan.cones for r in c.rays)
+        got = is_proper_in_chamber(fan, chamber)
+        assert got == is_proper(fan, rd.weyl), fan.cones
+        verdicts.append(got)
+    return verdicts
+
+
+def test_chamber_wall_count_matches_orbit_properness():
+    cases = []
+    for letter, rank in (("A", 1), ("A", 2), ("B", 2), ("G", 2)):
+        cases += _basic_chamber_fans(RootDatum.of_type(letter, rank))
+    cases += _chamber_fans()
+    rng = random.Random(8)
+    for rd, count in ((RD11, 6), (RootDatum.of_type("A", 2), 6), (RootDatum.of_type("B", 2), 6),
+                      (RootDatum.of_type("G", 2), 4)):
+        cases += _random_chamber_fans(rd, rng, count)
+    verdicts = _wall_count_verdicts(cases)
+    assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize("letter", ["A", "B", "C"])
+def test_chamber_wall_count_matches_orbit_properness_at_rank_3(letter):
+    # the orbit oracle takes seconds per rank-3 chamber fan, hence one test per type
+    verdicts = _wall_count_verdicts(_basic_chamber_fans(RootDatum.of_type(letter, 3)))
+    assert verdicts == [True, False, False, False, False]
+
+
+def test_analyze_answers_at_rank_4(tmp_path):
+    for letter in ("A", "B", "C", "D"):
+        rd = RootDatum.of_type(letter, 4)
+        report = analyze(rd, Fan([rd.negative_chamber()], dim=4))
+        assert report["valid"] is True, letter
+        assert report["chamber_supported"] is True, letter
+        assert report["proper"] is True, letter
+    rays = [list(r) for r in RootDatum.of_type("D", 4).negative_chamber().rays]
+    (tmp_path / "rd.json").write_text(json.dumps({"type": "D", "rank": 4}))
+    (tmp_path / "fan.json").write_text(json.dumps({"cones": [{"rays": rays}]}))
+    argv = ["analyze", "--root-datum", tmp_path / "rd.json", "--fan", tmp_path / "fan.json",
+            "--out", tmp_path / "out.json"]
+    assert cli.main([str(a) for a in argv]) == 0
+    assert json.loads((tmp_path / "out.json").read_text())["proper"] is True

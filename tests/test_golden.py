@@ -62,15 +62,23 @@ def _cases():
     for k, cone in enumerate(cone_catalog()):
         rays = json.dumps([list(r) for r in cone.rays])
         out[f"hilbert-{k:02d}"] = (["hilbert", "--rays", rays, "--dim", cone.dim], {})
-    for letter in ("A", "B"):
-        rd = RootDatum.of_type(letter, 2)
+    argv = ["analyze", "--root-datum", "{tmp}/rd.json", "--fan", "{tmp}/fan.json",
+            "--out", "{tmp}/out.json"]
+    for letter, rank in (("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3)):
+        rd = RootDatum.of_type(letter, rank)
         files = {
-            "rd.json": json.dumps({"type": letter, "rank": 2}),
+            "rd.json": json.dumps({"type": letter, "rank": rank}),
             "fan.json": json.dumps({"cones": [[list(r) for r in rd.negative_chamber().rays]]}),
         }
-        argv = ["analyze", "--root-datum", "{tmp}/rd.json", "--fan", "{tmp}/fan.json",
-                "--out", "{tmp}/out.json"]
-        out[f"analyze-{letter}2-chamber"] = (argv, files)
+        out[f"analyze-{letter}{rank}-chamber"] = (argv, files)
+    # one half of the star subdivision at r1 + r2: valid in the chamber, not proper
+    r1, r2 = RootDatum.of_type("G", 2).negative_chamber().rays
+    half = [list(r1), [a + b for a, b in zip(r1, r2)]]
+    files = {
+        "rd.json": json.dumps({"type": "G", "rank": 2}),
+        "fan.json": json.dumps({"cones": [half]}),
+    }
+    out["analyze-G2-half-star"] = (argv, files)
     for root, fan in _FIXTURE_FANS:
         argv = ["analyze", "--root-datum", str(FIXTURES / root), "--fan", str(FIXTURES / fan),
                 "--out", "{tmp}/out.json"]
