@@ -543,14 +543,21 @@ class Fan:
         return c in self._members
 
     def maximal_cones(self):
-        out = []
-        for c in self.cones:
-            rs = set(c.rays)
-            if not any(
-                rs < set(d.rays) for d in self.cones if d is not c
-            ):
-                out.append(c)
-        return tuple(out)
+        """The cones that are a face of no other cone of the fan.
+
+        Every cone is a face of a maximal one.  A cone whose rays lie among
+        another cone's rays without being its face (an invalid fan) is
+        maximal too.  A proper face has fewer rays, so walking the cones from
+        the most rays down meets every maximal cone before its faces.
+        """
+        covered = set()
+        maximal = set()
+        for c in reversed(self.cones):
+            rays = frozenset(c.rays)
+            if rays not in covered:
+                maximal.add(c)
+                covered.update(c.face_ray_sets())
+        return tuple(c for c in self.cones if c in maximal)
 
 
 def _pair_violation(fan: Fan, a: Cone, b: Cone):
@@ -573,10 +580,11 @@ def _pair_violation(fan: Fan, a: Cone, b: Cone):
 def fan_validate(fan: Fan):
     """List of violations of the fan axioms; empty means valid.
 
-    A fan is face-closed, and a face of a face is a face, so if every two
-    maximal cones meet in a common face then so do every two cones (Fulton,
-    *Introduction to Toric Varieties*, 1993, section 1.4).  Only when some
-    maximal pair fails are all pairs listed.
+    A fan is face-closed, every cone is a face of a maximal cone, and a face
+    of a face is a face, so if every two maximal cones meet in a common face
+    then so do every two cones (Fulton, *Introduction to Toric Varieties*,
+    1993, section 1.4).  Only when some maximal pair fails are all pairs
+    listed.
     """
     maximal = fan.maximal_cones()
     if all(_pair_violation(fan, a, b) is None for a, b in itertools.combinations(maximal, 2)):

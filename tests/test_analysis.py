@@ -92,6 +92,19 @@ def test_analyze_invalid_fan_short_circuits():
     assert report["proper"] is None
 
 
+def test_analyze_rejects_sub_cone_that_is_not_a_face():
+    # the second cone's rays lie among the square's rays, but it cuts
+    # through the square's interior instead of being its face
+    square = Cone([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)])
+    diagonal = Cone([(1, 0, 1), (-1, 0, 1)])
+    rd = RootDatum([[2, 0, 0], [0, 2, 0], [0, 0, 2]])
+    report = analyze(rd, Fan([square, diagonal], dim=3))
+    assert report_status(report) == "invalid_fan"
+    assert report["valid"] is False
+    assert report["violations"]
+    assert report["proper"] is None
+
+
 def test_analyze_chamber_violation():
     fan = Fan([Cone([(1, 0)], dim=2)], dim=2)
     report = analyze(RD11, fan)

@@ -340,6 +340,51 @@ def test_fan_catalog_validity_flags():
         assert fan_validate(fans[name]) == [], name
 
 
+def square_with_diagonal_fan():
+    """A square cone and a 2-ray cone through its interior: rays of the
+    second lie among the rays of the first, but it is not a face."""
+    square = Cone([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)])
+    diagonal = Cone([(1, 0, 1), (-1, 0, 1)])
+    return Fan([square, diagonal], dim=3), square, diagonal
+
+
+def all_pairs_violations(fan: Fan):
+    out = []
+    for a, b in itertools.combinations(fan.cones, 2):
+        meet = intersect(a, b)
+        if not fan.contains_cone(meet) or not is_face(meet, a) or not is_face(meet, b):
+            out.append(sorted([a.rays, b.rays]))
+    return out
+
+
+def test_sub_cone_that_is_not_a_face_is_maximal_and_invalid():
+    fan, square, diagonal = square_with_diagonal_fan()
+    assert set(fan.maximal_cones()) == {square, diagonal}
+    report = fan_validate(fan)
+    assert report == [
+        {
+            "cones": [[[-1, 0, 1], [1, 0, 1]],
+                      [[-1, 0, 1], [0, -1, 1], [0, 1, 1], [1, 0, 1]]],
+            "intersection": [[-1, 0, 1], [1, 0, 1]],
+            "reason": "intersection is not a common face",
+        }
+    ]
+    rd = RootDatum([[2, 0, 0], [0, 2, 0], [0, 0, 2]])
+    assert orbit_fan(fan, rd.weyl).contains_cone(diagonal)
+    with pytest.raises(InvalidFan):
+        is_proper(fan, rd.weyl)
+
+
+def test_fan_validate_lists_the_same_pairs_as_all_pairs():
+    overlapping = orbit_fan(
+        Fan([Cone([(-1, 0), (0, -1)])], dim=2), RootDatum.of_type("A", 2).weyl
+    )
+    fans = list(fan_catalog().values()) + [square_with_diagonal_fan()[0], overlapping]
+    for fan in fans:
+        listed = [sorted(tuple(map(tuple, c)) for c in v["cones"]) for v in fan_validate(fan)]
+        assert sorted(listed) == sorted(all_pairs_violations(fan)), fan
+
+
 # -- smoothness and index -------------------------------------------------
 
 
