@@ -20,19 +20,19 @@ from .serialize import rational_str
 __all__ = ["analyze", "report_status"]
 
 
-def _cone_entry(cone, fan, index_of, chamber_ok, rd):
+def _cone_entry(cone, faces, index_of, chamber_ok, rd):
     entry = {
         "rays": [list(r) for r in cone.rays],
         "index": cone_index(cone),
         "smooth": cone_is_smooth(cone),
         "hilbert_basis": [list(h) for h in cone.hilbert_basis],
-        "faces": sorted(index_of[f] for f in cone.faces()),
+        "faces": sorted(index_of[f] for f in faces),
         "gluing": [
             {
                 "face_rays": [list(r) for r in f.rays],
                 "witness": list(face_witness(f, cone)),
             }
-            for f in cone.faces()
+            for f in faces
         ],
         "interior_cocharacter": (
             None if cone.is_zero() else list(interior_cocharacter(cone))
@@ -80,14 +80,17 @@ def analyze(rd: RootDatum, fan: Fan) -> dict:
     chamber_ok = supported_in_chamber(fan, rd)
     report["chamber_supported"] = chamber_ok
     index_of = {c: k for k, c in enumerate(fan.cones)}
+    # the fan is face-closed, so every face is already one of its cones
+    by_rays = {frozenset(c.rays): c for c in fan.cones}
+    faces_of = {c: [by_rays[s] for s in c.face_ray_sets()] for c in fan.cones}
     report["cones"] = [
-        _cone_entry(c, fan, index_of, chamber_ok, rd) for c in fan.cones
+        _cone_entry(c, faces_of[c], index_of, chamber_ok, rd) for c in fan.cones
     ]
     report["smooth"] = is_smooth(fan)
     report["chart_count"] = len(fan.cones)
     adjacency = []
     for c in fan.cones:
-        for f in c.faces():
+        for f in faces_of[c]:
             if f != c:
                 adjacency.append([index_of[f], index_of[c]])
     report["adjacency"] = sorted(adjacency)

@@ -5,9 +5,12 @@ Matrices are immutable tuples of tuples.  Entries may be ``Fraction`` or
 elimination never pivots for numerical stability, only for non-vanishing.
 
 One Gauss-Jordan kernel, ``_gauss_jordan``, does the elimination for
-``Matrix.inverse`` (on ``[A | I]``), ``integer_rank`` and the lattice
-helpers in ``cones``.  ``Matrix.det`` keeps its own forward elimination
-because it needs the product of the pivots, which the kernel normalizes away.
+``Matrix.inverse`` (on ``[A | I]``) and the lattice helpers in ``cones``.
+``Matrix.det`` keeps its own forward elimination because it needs the
+product of the pivots, which the kernel normalizes away.  The integer rank,
+``integer_rank`` here and the rank tests in ``cones``, runs ``_int_rank``, a
+fraction-free (Bareiss) elimination on Python ints, because rank tests on
+lattice vectors are the hot loop of the cone layer and need no ``Fraction``.
 """
 
 from __future__ import annotations
@@ -336,9 +339,41 @@ def smith_normal_form(m: Matrix):
     return Matrix(u), Matrix(a), Matrix(v)
 
 
+def _int_rank(rows) -> int:
+    """Rank of a list of integer rows, by fraction-free elimination.
+
+    Bareiss's one-step elimination: after each pivot every entry below it
+    is a minor of the input, so the division by the previous pivot is exact
+    and the entries stay integers of bounded size (Bareiss, Math. Comp. 22,
+    1968).  Rows that are not all plain ints go through ``Matrix`` and
+    ``_int_rows``, which refuse ragged rows and non-integer entries.
+    """
+    a = [list(r) for r in rows]
+    if not all(type(x) is int for r in a for x in r):
+        a = _int_rows(Matrix(a))
+    ncols = len(a[0]) if a else 0
+    if any(len(r) != ncols for r in a):
+        raise ValueError("ragged rows")
+    rank, prev = 0, 1
+    for col in range(ncols):
+        piv = next((i for i in range(rank, len(a)) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        prow = a[rank]
+        p = prow[col]
+        for i in range(rank + 1, len(a)):
+            f = a[i][col]
+            a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], prow)]
+        prev = p
+        rank += 1
+        if rank == len(a):
+            break
+    return rank
+
+
 def integer_rank(m: Matrix) -> int:
-    a = [[Fraction(x) for x in r] for r in _int_rows(m)]
-    return len(_gauss_jordan(a, m.ncols))
+    return _int_rank(_int_rows(m))
 
 
 def integer_kernel(m: Matrix):

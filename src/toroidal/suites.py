@@ -24,7 +24,8 @@ from .charts import (
     torus_translate,
 )
 from .chevalley import random_element
-from .cones import Cone, dot, face_witness, interior_cocharacter
+from .cones import Cone, face_witness, interior_cocharacter
+from .linalg import dot
 from .ratfun import EPS, PoleAtZero
 from .rootdata import RootDatum
 

@@ -12,7 +12,7 @@ import pytest
 from toroidal.bigcell import DomainReport, MixedPoint, OutsideVi
 from toroidal.charts import coweight_scale, evaluate_character
 from toroidal.cones import Cone, generators_from_halfspaces
-from toroidal.linalg import primitive_vector
+from toroidal.linalg import _gauss_jordan, primitive_vector
 from toroidal.ratfun import PoleAtZero
 
 
@@ -52,6 +52,16 @@ def _splitting_by_double_description(cone: Cone):
     if ext_lin:
         raise RuntimeError("dual of the pointed quotient must be pointed")
     return facets, extreme
+
+
+def _fraction_rank(rows):
+    """Rank of integer rows by Gauss-Jordan elimination on Fractions.
+
+    The integer rank before the fraction-free elimination, kept as a
+    reference.
+    """
+    ncols = len(rows[0]) if rows else 0
+    return len(_gauss_jordan([[Fraction(x) for x in r] for r in rows], ncols))
 
 
 @functools.cache
@@ -492,6 +502,11 @@ class FractionRatFun:
 @pytest.fixture(scope="session")
 def reflect_simple_by_coordinates():
     return _reflect_simple_by_coordinates
+
+
+@pytest.fixture(scope="session")
+def fraction_rank():
+    return _fraction_rank
 
 
 @pytest.fixture(scope="session")

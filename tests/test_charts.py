@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import ceil
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from toroidal.catalog import cone_catalog
 from toroidal.charts import (
     ChartPoint,
+    _torus_shift,
     InvalidChartValues,
     LimitDoesNotExist,
     NotAFace,
@@ -62,6 +64,20 @@ def test_torus_roundtrip_on_catalog():
                 for _ in range(cone.dim)
             )
             assert torus_coordinates(torus_point(coords, cone)) == coords
+
+
+def test_torus_shift_is_the_exact_ceiling_on_catalog():
+    # the unit vectors torus_coordinates shifts, and multiples of them large
+    # enough that a float quotient would round
+    for cone in cone_catalog():
+        w = tuple(sum(g[k] for g in cone.dual_rays) for k in range(cone.dim))
+        for j in range(cone.dim):
+            for scale in (1, -1, 10**16 + 1, -(3 * 10**17 + 7)):
+                e = tuple(scale if k == j else 0 for k in range(cone.dim))
+                expected = max(
+                    [0] + [ceil(Fraction(-dot(e, r), dot(w, r))) for r in cone.rays]
+                )
+                assert _torus_shift(e, w, cone.rays) == expected
 
 
 def test_limit_point_inside_and_outside():

@@ -225,6 +225,19 @@ def test_monoid_decompose_rejects_outside_points():
         c.monoid_decompose((1,))
 
 
+def test_wrong_length_vectors_are_refused():
+    from toroidal.charts import limit_point
+
+    quadrant = Cone([(1, 0), (0, 1)])
+    for v in ((1, 2, 3), (1,)):
+        with pytest.raises(ValueError):
+            quadrant.contains(v)
+        with pytest.raises(ValueError):
+            limit_point(v, quadrant)
+        with pytest.raises(ValueError):
+            quadrant.monoid_decompose(v)
+
+
 def test_monoid_decompose_deep_target_has_no_recursion_limit():
     c = Cone([(1, 0), (0, 1)])
     assert c.monoid_decompose((3000, 3000)) == {(0, 1): 3000, (1, 0): 3000}

@@ -79,6 +79,17 @@ def _cases():
         "fan.json": json.dumps({"cones": [half]}),
     }
     out["analyze-G2-half-star"] = (argv, files)
+    # the chamber star-subdivided at the sum of its rays: cones share faces
+    for letter in ("A", "C"):
+        rays = [list(r) for r in RootDatum.of_type(letter, 3).negative_chamber().rays]
+        centre = [sum(col) for col in zip(*rays)]
+        files = {
+            "rd.json": json.dumps({"type": letter, "rank": 3}),
+            "fan.json": json.dumps(
+                {"cones": [[r for r in rays if r is not skip] + [centre] for skip in rays]}
+            ),
+        }
+        out[f"analyze-{letter}3-star"] = (argv, files)
     for root, fan in _FIXTURE_FANS:
         argv = ["analyze", "--root-datum", str(FIXTURES / root), "--fan", str(FIXTURES / fan),
                 "--out", "{tmp}/out.json"]

@@ -1,11 +1,13 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toroidal.cones import _rank
 from toroidal.linalg import (
     Matrix,
     integer_inverse,
@@ -130,3 +132,52 @@ def test_rank_subadditive_under_product(a, b):
         return
     r = integer_rank(a @ b)
     assert r <= min(integer_rank(a), integer_rank(b))
+
+
+def _rank_cases(rng):
+    """Seeded integer matrices: small, with zero, repeated and dependent
+    rows, and with entries near 10^12 where fraction-free elimination grows."""
+    for _ in range(3000):
+        ncols = rng.randint(1, 4)
+        big = rng.random() < 0.25
+        scale = 10**12 if big else 6
+        rows = [
+            [rng.randint(-scale, scale) for _ in range(ncols)]
+            for _ in range(rng.randint(0, 12))
+        ]
+        if rows and rng.random() < 0.3:
+            # every row a combination of fewer rows than columns
+            base = rows[: rng.randint(0, ncols - 1)]
+            rows = [
+                [sum(rng.randint(-3, 3) * b[k] for b in base) for k in range(ncols)]
+                for _ in rows
+            ]
+        for _ in range(rng.randint(0, 3) if rows else 0):
+            kind = rng.choice(("zero", "repeat", "dependent"))
+            if kind == "zero":
+                row = [0] * ncols
+            elif kind == "repeat":
+                row = list(rng.choice(rows))
+            else:
+                a, b = rng.choice(rows), rng.choice(rows)
+                s, t = rng.randint(-scale, scale), rng.randint(-scale, scale)
+                row = [s * x + t * y for x, y in zip(a, b)]
+            rows.insert(rng.randint(0, len(rows)), row)
+        yield rows
+
+
+def test_integer_rank_matches_fraction_elimination(fraction_rank):
+    for rows in _rank_cases(random.Random(9)):
+        expected = fraction_rank(rows)
+        assert _rank(rows) == expected, rows
+        assert integer_rank(Matrix(rows)) == expected, rows
+
+
+def test_integer_rank_refusals():
+    for rank in (_rank, lambda rows: integer_rank(Matrix(rows))):
+        with pytest.raises(ValueError, match="ragged rows"):
+            rank([(1, 2), (3,)])
+        with pytest.raises(ValueError, match="integer matrix required"):
+            rank([(Fraction(1, 2), 1)])
+    assert _rank([]) == 0
+    assert _rank([(Fraction(2), 4), (1, 2)]) == 1
