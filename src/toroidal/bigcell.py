@@ -8,6 +8,12 @@ with a structured report when a required factorization or denominator fails.
 The key maps are the single-reflection conjugations f_i, the multiplication
 reordering Theta (u^+ t u^-  ->  u^- t u^+), the two-sided action A_sigma, and
 the transfer map between overlapping group translates of the chart.
+
+Root elements, the Weyl representatives n_i and n_0 and the diagonal factors
+of ``ldu`` are applied as row and column operations, signed permutations and
+entrywise scalings (see ``chevalley``), never as dense products: f_i builds
+no matrix product at all, and Theta and the action multiply only pairs of
+general unitriangular matrices.
 """
 
 from __future__ import annotations
@@ -27,9 +33,16 @@ from .charts import (
     torus_point,
     torus_translate,
 )
-from .chevalley import NotInBigCell, Pinning, random_element
+from .chevalley import (
+    NotInBigCell,
+    Pinning,
+    conjugate_diagonal,
+    conjugate_signed,
+    random_element,
+    signed_permutation,
+)
 from .cones import Cone, interior_cocharacter
-from .linalg import Matrix
+from .linalg import Matrix, _share
 from .ratfun import evaluate_at_zero
 from .rootdata import RootDatum
 
@@ -70,6 +83,12 @@ class OutsideDomain(Exception):
 
 class OutsideVi(OutsideDomain):
     """The denominator of a single-reflection conjugation vanished."""
+
+
+def _diagonal(d: Matrix):
+    """The diagonal entries of d and their reciprocals."""
+    entries = tuple(d.rows[k][k] for k in range(d.nrows))
+    return entries, tuple(_share(1 / x) for x in entries)
 
 
 def _is_unitriangular(m: Matrix, lower: bool) -> bool:
@@ -128,11 +147,7 @@ class Calculus:
         self.pinning = Pinning(rd)
         self.longest_word = rd.longest_word()
         self.n0 = self.pinning.weyl_representative(self.longest_word)
-        self.n0_inv = self.n0.inverse()
-        self._n_pairs = tuple(
-            (n, n.inverse())
-            for n in map(self.pinning.simple_reflection_element, range(rd.rank))
-        )
+        self._n0_signed = signed_permutation(self.n0)
         self._anchor_cache = {}
 
     # -- single reflections ----------------------------------------------------
@@ -162,12 +177,11 @@ class Calculus:
                     f"simple index {i}",
                 )
             )
-        n, n_inv = self._n_pairs[i]
-        um = n @ (p.u_minus @ pin.root_element(minus_a_i, -x)) @ n_inv
-        um = um @ pin.root_element(minus_a_i, -y / d)
+        um = pin.conjugate_simple(i, pin.times_root(p.u_minus, minus_a_i, -x))
+        um = pin.times_root(um, minus_a_i, -y / d)
         chart = coweight_scale(p.chart, rd.simple_coroot(i), d)
-        up = pin.root_element(a_i, -x / d) @ n
-        up = up @ (pin.root_element(a_i, -y) @ p.u_plus) @ n_inv
+        up = pin.conjugate_simple(i, pin.root_times(a_i, -y, p.u_plus))
+        up = pin.root_times(a_i, -x / d, up)
         return MixedPoint(um, chart, up)
 
     def reflect_longest(self, p: MixedPoint) -> MixedPoint:
@@ -242,13 +256,19 @@ class Calculus:
         um0, um0_inv, up0, up0_inv = self.anchors(chart.cone)
         l1, d1, r1 = self._ldu(u_plus @ um0_inv, "reorder", "u+ (u0-)^{-1} in the big cell")
         l2, d2, r2 = self._ldu(up0_inv @ u_minus, "reorder", "(u0+)^{-1} u- in the big cell")
-        d1_inv, d2_inv = d1.inverse(), d2.inverse()
-        mid = torus_translate(pin.torus_coordinates_of(d1 @ d2), chart)
-        q = self.reflect_longest(
-            MixedPoint(d1 @ um0 @ d1_inv, mid, d2_inv @ up0 @ d2)
+        (d1, d1_inv), (d2, d2_inv) = _diagonal(d1), _diagonal(d2)
+        mid = torus_translate(
+            pin.diagonal_coordinates([x * y for x, y in zip(d1, d2)]), chart
         )
-        a = self.n0 @ (d1 @ r1 @ d1_inv) @ self.n0_inv
-        b = self.n0 @ (d2_inv @ l2 @ d2) @ self.n0_inv
+        q = self.reflect_longest(
+            MixedPoint(
+                conjugate_diagonal(d1, d1_inv, um0),
+                mid,
+                conjugate_diagonal(d2_inv, d2, up0),
+            )
+        )
+        a = conjugate_signed(self._n0_signed, conjugate_diagonal(d1, d1_inv, r1))
+        b = conjugate_signed(self._n0_signed, conjugate_diagonal(d2_inv, d2, l2))
         q2 = self.reflect_longest_inverse(
             MixedPoint(a @ q.u_minus, q.chart, q.u_plus @ b)
         )
@@ -274,11 +294,21 @@ class Calculus:
         h2m, d2g, h2p = self._ldu(g2.inverse(), "act", "g2^{-1} in the big cell")
         l1, dd1, r1 = self._ldu(u1p @ p.u_minus, "act", "u1+ u- in the big cell")
         l2, dd2, r2 = self._ldu(p.u_plus @ h2m, "act", "u+ g2hat- in the big cell")
-        mid = torus_translate(pin.torus_coordinates_of(dd1 @ dd2), p.chart)
-        r = self.reorder(dd1 @ r1 @ dd1.inverse(), mid, dd2.inverse() @ l2 @ dd2)
-        new_um = u1m @ d1g @ (l1 @ r.u_minus) @ d1g.inverse()
-        new_chart = torus_translate(pin.torus_coordinates_of(d1g @ d2g), r.chart)
-        new_up = d2g.inverse() @ (r.u_plus @ r2) @ d2g @ h2p
+        (dd1, dd1_inv), (dd2, dd2_inv) = _diagonal(dd1), _diagonal(dd2)
+        (d1g, d1g_inv), (d2g, d2g_inv) = _diagonal(d1g), _diagonal(d2g)
+        mid = torus_translate(
+            pin.diagonal_coordinates([x * y for x, y in zip(dd1, dd2)]), p.chart
+        )
+        r = self.reorder(
+            conjugate_diagonal(dd1, dd1_inv, r1),
+            mid,
+            conjugate_diagonal(dd2_inv, dd2, l2),
+        )
+        new_um = u1m @ conjugate_diagonal(d1g, d1g_inv, l1 @ r.u_minus)
+        new_chart = torus_translate(
+            pin.diagonal_coordinates([x * y for x, y in zip(d1g, d2g)]), r.chart
+        )
+        new_up = conjugate_diagonal(d2g_inv, d2g, r.u_plus @ r2) @ h2p
         return MixedPoint(new_um, new_chart, new_up)
 
     def act_direct(self, g1: Matrix, p: MixedPoint, g2: Matrix) -> MixedPoint:

@@ -4,20 +4,38 @@ The root group of e_i - e_j is parametrized by x -> I + x E_ij, the simple
 reflection representatives are n_i = p_i(1) p_{-i}(-1) p_i(1), and Chevalley
 signs are extracted from this realization by conjugation rather than copied
 from tables.
+
+The factors the big-cell calculus multiplies by have fixed shapes, and each
+is applied without a dense product:
+
+- a root element: ``g @ x_beta(c)`` is one column operation
+  (``times_root``) and ``x_beta(c) @ g`` one row operation (``root_times``);
+  ``unipotent_product`` is a sequence of column operations;
+- a Weyl representative n is a signed permutation (Steinberg, *Lectures on
+  Chevalley Groups*, 1967, section 3), read once off its matrix by
+  ``signed_permutation``, so ``n g n^{-1}`` permutes and signs the entries
+  of g (``conjugate_signed``);
+- a diagonal factor D from ``ldu``: ``D g D^{-1}`` scales entry (a, b) by
+  d_a / d_b (``conjugate_diagonal``), and ``diagonal_coordinates`` reads
+  torus coordinates off diagonal entries, so a product of diagonals is
+  entrywise.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import Matrix
+from .linalg import Matrix, _coerce_entry, _share
 from .rootdata import RootDatum
 
 __all__ = [
     "NotInBigCell",
     "NotSingleRootImage",
     "Pinning",
+    "conjugate_diagonal",
+    "conjugate_signed",
     "random_element",
+    "signed_permutation",
 ]
 
 
@@ -27,6 +45,73 @@ class NotInBigCell(ValueError):
 
 class NotSingleRootImage(ValueError):
     """Conjugation did not land in a single root group."""
+
+
+def _plus_times(a, b, c):
+    """a + b * c, with no arithmetic on a zero term."""
+    if not b:
+        return a
+    t = b * c
+    return _share(a + t if a else t)
+
+
+def signed_permutation(m: Matrix):
+    """Per row of m, the (column, sign) of its one nonzero entry.
+
+    m must be a signed permutation matrix: one entry +-1 in every row and
+    every column, zeros elsewhere.  Anything else is a broken realization
+    and raises RuntimeError.
+    """
+    out = []
+    for a, row in enumerate(m.rows):
+        nonzero = [(b, x) for b, x in enumerate(row) if x]
+        if len(nonzero) != 1 or nonzero[0][1] not in (1, -1):
+            raise RuntimeError(f"row {a} of {m!r} is not a signed unit vector")
+        out.append((nonzero[0][0], nonzero[0][1] == 1))
+    if m.ncols != m.nrows or sorted(b for b, _ in out) != list(range(m.ncols)):
+        raise RuntimeError(f"{m!r} is not a signed permutation matrix")
+    return tuple(out)
+
+
+def conjugate_signed(perm, g: Matrix) -> Matrix:
+    """n g n^{-1} for the signed permutation n read by signed_permutation.
+
+    n has entry s_a at (a, pi(a)) and n^{-1} is its transpose, so entry
+    (a, b) of the conjugate is s_a s_b g[pi(a), pi(b)].
+    """
+    rows = g.rows
+    if len(rows) != len(perm) or g.ncols != len(perm):
+        raise ValueError("shape mismatch in Weyl conjugation")
+    out = []
+    for pa, sa in perm:
+        row = rows[pa]
+        out.append(
+            tuple(
+                row[pb] if sa == sb or not row[pb] else _share(-row[pb])
+                for pb, sb in perm
+            )
+        )
+    return Matrix._of(tuple(out))
+
+
+def conjugate_diagonal(d, d_inv, g: Matrix) -> Matrix:
+    """D g D^{-1} for D = diag(d), given d_inv, the reciprocals of d.
+
+    Entry (a, b) is scaled by d[a] / d[b], so the diagonal is unchanged.
+    D^{-1} g D is conjugate_diagonal(d_inv, d, g).
+    """
+    n = len(d)
+    if g.nrows != n or g.ncols != n or len(d_inv) != n:
+        raise ValueError("shape mismatch in diagonal conjugation")
+    return Matrix._of(
+        tuple(
+            tuple(
+                _share(x * da * d_inv[b]) if x and a != b else x
+                for b, x in enumerate(row)
+            )
+            for a, (row, da) in enumerate(zip(g.rows, d))
+        )
+    )
 
 
 def _is_type_a(rd: RootDatum) -> bool:
@@ -59,11 +144,12 @@ class Pinning:
                 raise ValueError(f"{beta} has non-consecutive support")
             self._pos[beta] = (lo, hi) if sgn > 0 else (hi, lo)
         self._n_simple = tuple(
-            self.root_element(self.rd.simple_root(i), 1)
-            @ self.root_element(self._neg_simple(i), -1)
-            @ self.root_element(self.rd.simple_root(i), 1)
+            self.unipotent_product(
+                (rd.simple_root(i), self._neg_simple(i), rd.simple_root(i)), (1, -1, 1)
+            )
             for i in range(rd.rank)
         )
+        self._n_signed = tuple(map(signed_permutation, self._n_simple))
         h = {}
         for beta in rd.positive_roots:
             h.setdefault(rd.root_height(beta), []).append(beta)
@@ -94,6 +180,39 @@ class Pinning:
         ]
         rows[i][j] = x
         return Matrix(rows)
+
+    def times_root(self, g: Matrix, beta, c) -> Matrix:
+        """g @ x_beta(c): column j of g gains c times column i, (i, j) = position."""
+        c = _coerce_entry(c)
+        if g.nrows != self.n or g.ncols != self.n:
+            raise ValueError("shape mismatch in matrix product")
+        if not c:
+            return g
+        i, j = self._pos[tuple(beta)]
+        rows = []
+        for row in g.rows:
+            if row[i]:
+                row = list(row)
+                row[j] = _plus_times(row[j], row[i], c)
+                row = tuple(row)
+            rows.append(row)
+        return Matrix._of(tuple(rows))
+
+    def root_times(self, beta, c, g: Matrix) -> Matrix:
+        """x_beta(c) @ g: row i of g gains c times row j, (i, j) = position."""
+        c = _coerce_entry(c)
+        if g.nrows != self.n or g.ncols != self.n:
+            raise ValueError("shape mismatch in matrix product")
+        if not c:
+            return g
+        i, j = self._pos[tuple(beta)]
+        rows = list(g.rows)
+        rows[i] = tuple(_plus_times(a, b, c) for a, b in zip(rows[i], rows[j]))
+        return Matrix._of(tuple(rows))
+
+    def conjugate_simple(self, i: int, g: Matrix) -> Matrix:
+        """n_i g n_i^{-1}, by the signed permutation of n_i."""
+        return conjugate_signed(self._n_signed[i], g)
 
     def coordinate_at(self, g: Matrix, beta):
         i, j = self.root_position(beta)
@@ -130,12 +249,16 @@ class Pinning:
             for j in range(n):
                 if i != j and g[i, j] != 0:
                     raise ValueError("matrix is not diagonal")
+        return self.diagonal_coordinates([g[i, i] for i in range(n)])
+
+    def diagonal_coordinates(self, diag):
+        """Fundamental-weight coordinates of diag(diag), of determinant 1."""
         coords = []
         acc = Fraction(1)
         for i in range(self.rd.rank):
-            acc = acc * g[i, i]
+            acc = acc * diag[i]
             coords.append(acc)
-        if acc * g[n - 1, n - 1] != 1:
+        if acc * diag[self.rd.rank] != 1:
             raise ValueError("determinant is not 1")
         return tuple(coords)
 
@@ -166,10 +289,10 @@ class Pinning:
         return Matrix(lower), Matrix.diagonal(diag), Matrix(upper)
 
     def unipotent_product(self, order, coords) -> Matrix:
+        """x_{b_1}(c_1) ... x_{b_m}(c_m), one column operation per factor."""
         out = self.identity()
         for beta, c in zip(order, coords):
-            if c != 0:
-                out = out @ self.root_element(beta, c)
+            out = self.times_root(out, beta, c)
         return out
 
     # -- signs ----------------------------------------------------------------
@@ -179,13 +302,11 @@ class Pinning:
         if self._signs is None:
             table = {}
             for i in range(self.rd.rank):
-                n_i = self._n_simple[i]
-                n_i_inv = n_i.inverse()
                 for beta in self.rd.roots:
                     image = self.rd.reflect_character(i, beta)
                     probes = []
                     for x in (Fraction(1), Fraction(2)):
-                        conj = n_i @ self.root_element(beta, x) @ n_i_inv
+                        conj = self.conjugate_simple(i, self.root_element(beta, x))
                         c = self.coordinate_at(conj, image)
                         if conj != self.root_element(image, c):
                             raise NotSingleRootImage(

@@ -143,11 +143,18 @@ class RootDatum:
 
     # -- basic data ---------------------------------------------------------
 
+    def _check_index(self, i: int) -> None:
+        # a negative index would silently wrap to a different simple root
+        if i not in range(self.rank):
+            raise ValueError(f"simple index {i} is outside range({self.rank})")
+
     def simple_root(self, i: int):
         """The i-th simple root in M-coordinates (column i of Cartan)."""
+        self._check_index(i)
         return tuple(int(self.cartan[j, i]) for j in range(self.rank))
 
     def simple_coroot(self, i: int):
+        self._check_index(i)
         return tuple(1 if j == i else 0 for j in range(self.rank))
 
     @staticmethod
@@ -191,6 +198,7 @@ class RootDatum:
         return tuple(int(x) for x in out)
 
     def reflect_character(self, i: int, m):
+        self._check_index(i)
         out = self._m_refl[i] @ tuple(m)
         return tuple(int(x) for x in out)
 

@@ -189,6 +189,32 @@ def _reflect_simple_by_coordinates(calc, p: MixedPoint, i: int) -> MixedPoint:
     return MixedPoint(um, chart, up)
 
 
+def _reflect_simple_by_products(calc, p: MixedPoint, i: int) -> MixedPoint:
+    """The single-reflection map f_i, computed with dense matrix products.
+
+    The version before row and column operations, kept as a reference: the
+    root elements and n_i, n_i^{-1} are built as matrices and multiplied.
+    """
+    rd, pin = calc.rd, calc.pinning
+    a_i = rd.simple_root(i)
+    minus_a_i = tuple(-v for v in a_i)
+    x = pin.coordinate_at(p.u_minus, minus_a_i)
+    y = pin.coordinate_at(p.u_plus, a_i)
+    d = evaluate_character(p.chart, minus_a_i) + x * y
+    if d == 0:
+        raise OutsideVi(
+            DomainReport("reflect_simple", "(-alpha_i)(t) + x*y != 0", f"simple index {i}")
+        )
+    n = pin.simple_reflection_element(i)
+    n_inv = n.inverse()
+    um = n @ (p.u_minus @ pin.root_element(minus_a_i, -x)) @ n_inv
+    um = um @ pin.root_element(minus_a_i, -y / d)
+    chart = coweight_scale(p.chart, rd.simple_coroot(i), d)
+    up = pin.root_element(a_i, -x / d) @ n
+    up = up @ (pin.root_element(a_i, -y) @ p.u_plus) @ n_inv
+    return MixedPoint(um, chart, up)
+
+
 def _reflect_longest_inverse_by_cubes(calc, p: MixedPoint) -> MixedPoint:
     """The inverse longest-word conjugation, three reflections per letter.
 
@@ -502,6 +528,11 @@ class FractionRatFun:
 @pytest.fixture(scope="session")
 def reflect_simple_by_coordinates():
     return _reflect_simple_by_coordinates
+
+
+@pytest.fixture(scope="session")
+def reflect_simple_by_products():
+    return _reflect_simple_by_products
 
 
 @pytest.fixture(scope="session")

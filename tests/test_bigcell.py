@@ -20,7 +20,12 @@ from toroidal.charts import (
     torus_point,
     torus_translate,
 )
-from toroidal.chevalley import random_element
+from toroidal.chevalley import (
+    conjugate_diagonal,
+    conjugate_signed,
+    random_element,
+    signed_permutation,
+)
 from toroidal.cones import Cone, interior_cocharacter
 from toroidal.linalg import Matrix
 from toroidal.ratfun import EPS, RatFun
@@ -134,6 +139,106 @@ def test_reflect_simple_matches_coordinate_oracle(reflect_simple_by_coordinates)
                         assert repr(got) == repr(want)
                         agreed += 1
     assert agreed > 100 and refused > 20
+
+
+def _scalars(rng):
+    """0, +-1, random Fractions and a + b*eps (b may be 0, a constant RatFun)."""
+    out = [Fraction(0), Fraction(1), Fraction(-1)]
+    out += [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(3)]
+    out += [Fraction(rng.randint(-3, 3)) + EPS * rng.randint(-2, 2) for _ in range(3)]
+    return out
+
+
+def _same(got, want):
+    assert got == want
+    assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_structured_factors_match_dense_products(rank, reflect_simple_by_products):
+    calc = Calculus(RootDatum.of_type("A", rank))
+    pin, rd = calc.pinning, calc.rd
+    rng = random.Random(900 + rank)
+    neg, pos = pin.negative_order, pin.positive_order
+    mats = [random_element(pin, rng) for _ in range(2)]
+    for scalars in (_scalars(rng), _scalars(rng)):
+        mats.append(pin.unipotent_product(neg, rng.sample(scalars, len(neg))))
+        mats.append(pin.unipotent_product(pos, rng.sample(scalars, len(pos))))
+    n0_perm = signed_permutation(calc.n0)
+    n0_inv = calc.n0.inverse()
+    for g in mats:
+        for beta in rd.roots:
+            for c in _scalars(rng):
+                x = pin.root_element(beta, c)
+                _same(pin.times_root(g, beta, c), g @ x)
+                _same(pin.root_times(beta, c, g), x @ g)
+        for i in range(rank):
+            n = pin.simple_reflection_element(i)
+            _same(pin.conjugate_simple(i, g), n @ g @ n.inverse())
+        _same(conjugate_signed(n0_perm, g), calc.n0 @ g @ n0_inv)
+        for _ in range(3):
+            coords = [c for c in _scalars(rng) if c != 0]
+            t = pin.torus_element(rng.sample(coords, rank))
+            t_inv = t.inverse()
+            d = [t[k, k] for k in range(rank + 1)]
+            d_inv = [1 / v for v in d]
+            assert d_inv == [t_inv[k, k] for k in range(rank + 1)]
+            _same(conjugate_diagonal(d, d_inv, g), t @ g @ t_inv)
+            _same(conjugate_diagonal(d_inv, d, g), t_inv @ g @ t)
+            s = pin.torus_element(rng.sample(coords, rank))
+            e = [s[k, k] for k in range(rank + 1)]
+            assert pin.diagonal_coordinates([a * b for a, b in zip(d, e)]) == (
+                pin.torus_coordinates_of(t @ s)
+            )
+    for order in (neg, pos, tuple(reversed(rd.roots))):
+        coords = [rng.choice(_scalars(rng)) for _ in order]
+        want = pin.identity()
+        for beta, c in zip(order, coords):
+            want = want @ pin.root_element(beta, c)
+        _same(pin.unipotent_product(order, coords), want)
+
+    # the zero cone's chart is the torus; the others are boundary charts
+    agreed = refused = 0
+    for eps in (False, True):
+        for chart in boundary_charts(calc):
+            for i in range(rank):
+                for _ in range(4):
+                    p = _oracle_point(calc, rng, chart, eps)
+                    try:
+                        want = reflect_simple_by_products(calc, p, i)
+                    except OutsideVi as e:
+                        with pytest.raises(OutsideVi) as info:
+                            calc.reflect_simple(p, i)
+                        assert info.value.report == e.report
+                        refused += 1
+                        continue
+                    _same(calc.reflect_simple(p, i), want)
+                    agreed += 1
+    assert agreed > 10 * rank and refused > 0
+
+
+def test_reflect_simple_and_unipotent_product_build_no_dense_product(monkeypatch):
+    pin = CALC2.pinning
+    rng = random.Random(3)
+    p = torus_mixed(CALC2, rng)
+    calls = []
+    matmul = Matrix.__matmul__
+
+    def counted(self, other):
+        calls.append(other)
+        return matmul(self, other)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counted)
+    CALC2.reflect_simple(p, 1)
+    pin.unipotent_product(pin.positive_order, [Fraction(2), Fraction(-1), Fraction(3)])
+    assert calls == []
+
+
+def test_reflect_simple_refuses_an_index_outside_the_rank():
+    p = torus_mixed(CALC2, random.Random(4))
+    for i in (-1, 2):
+        with pytest.raises(ValueError, match=f"simple index {i} .*range\\(2\\)"):
+            CALC2.reflect_simple(p, i)
 
 
 def test_reflect_longest_inverse_matches_cube_oracle(reflect_longest_inverse_by_cubes):

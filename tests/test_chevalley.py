@@ -8,6 +8,7 @@ from toroidal.chevalley import (
     NotInBigCell,
     Pinning,
     random_element,
+    signed_permutation,
 )
 from toroidal.linalg import Matrix
 from toroidal.rootdata import RootDatum
@@ -270,3 +271,37 @@ def test_random_element_is_its_product_of_elementary_matrices():
                 elem[i][j] = x
                 want = want @ Matrix(elem)
             assert got == want
+
+
+@pytest.mark.parametrize("bad", [0.5, 0.0, "1", None, 1j])
+def test_row_and_column_operations_refuse_unsupported_scalars(bad):
+    pin = pinning(2)
+    beta = pin.rd.positive_roots[0]
+    g = random_element(pin, random.Random(1))
+    calls = [
+        lambda: pin.root_element(beta, bad),
+        lambda: pin.times_root(g, beta, bad),
+        lambda: pin.root_times(beta, bad, g),
+        lambda: pin.unipotent_product(pin.positive_order, [Fraction(1), bad, Fraction(2)]),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match="unsupported matrix entry"):
+            call()
+
+
+def test_signed_permutation_reads_weyl_representatives_and_refuses_others():
+    pin = pinning(3)
+    for i in range(3):
+        n = pin.simple_reflection_element(i)
+        perm = signed_permutation(n)
+        for a, (b, positive) in enumerate(perm):
+            assert n[a, b] == (1 if positive else -1)
+    not_signed = [
+        pin.root_element(pin.rd.positive_roots[0], 1),
+        Matrix.diagonal([2, 1, 1, Fraction(1, 2)]),
+        Matrix([[0, 1, 0, 0], [0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1]]),
+        Matrix([[0, 1, 0], [1, 0, 0]]),
+    ]
+    for m in not_signed:
+        with pytest.raises(RuntimeError):
+            signed_permutation(m)

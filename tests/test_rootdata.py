@@ -124,3 +124,18 @@ def test_reflections_are_involutions(letter, rank, vec):
     v = tuple(vec[:rank]) + (0,) * (rank - len(vec))
     for i in range(rank):
         assert rd.reflect_cocharacter(i, rd.reflect_cocharacter(i, v)) == v
+
+
+def test_simple_index_outside_the_rank_is_refused():
+    # a negative index used to wrap to the last simple root, but the coroot
+    # came out zero, so reflect_simple mixed two indices without an error
+    rd = RootDatum.of_type("A", 2)
+    for i in (-1, -2, 2, 5):
+        for call in (
+            lambda: rd.simple_root(i),
+            lambda: rd.simple_coroot(i),
+            lambda: rd.reflect_character(i, (1, 0)),
+        ):
+            with pytest.raises(ValueError, match=f"simple index {i} .*range\\(2\\)"):
+                call()
+    assert rd.simple_coroot(1) == (0, 1)
