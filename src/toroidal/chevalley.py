@@ -24,8 +24,9 @@ is applied without a dense product:
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
-from .linalg import Matrix, _coerce_entry, _share
+from .linalg import _SMALL, Matrix, _coerce_entry, _share
 from .rootdata import RootDatum
 
 __all__ = [
@@ -112,6 +113,63 @@ def conjugate_diagonal(d, d_inv, g: Matrix) -> Matrix:
             for a, (row, da) in enumerate(zip(g.rows, d))
         )
     )
+
+
+def _ldu_rational(rows):
+    """The ldu split of a square matrix of Fractions, on Python ints.
+
+    Row i is cleared of denominators by the lcm s_i of its denominators, and
+    the integer matrix is eliminated fraction-free (Bareiss, Math. Comp. 22,
+    1968): each step divides exactly by the previous pivot, so after step k
+    every entry is a minor and the k-th pivot p_k is the (k+1)-th leading
+    principal minor of the cleared matrix.  Each output entry is then one
+    Fraction: L[i][k] = a_ik s_k / (p_k s_i), D_k = p_k / (p_{k-1} s_k) and
+    U[k][j] = a_kj / p_k, with a the integer entries left by the elimination.
+    """
+    n = len(rows)
+    scale = [lcm(*(x.denominator for x in row)) for row in rows]
+    a = [
+        [x.numerator * (s // x.denominator) for x in row]
+        for row, s in zip(rows, scale)
+    ]
+    prev = 1
+    for k in range(n):
+        ak = a[k]
+        p = ak[k]
+        if not p:
+            raise NotInBigCell(f"leading principal minor {k + 1} vanishes")
+        for i in range(k + 1, n):
+            ai = a[i]
+            f = ai[k]
+            for j in range(k + 1, n):
+                ai[j] = (ai[j] * p - f * ak[j]) // prev
+        prev = p
+    zero, one = _SMALL[64], _SMALL[65]
+    lower, diag, upper = [], [], []
+    prev = 1
+    for k in range(n):
+        p, s = a[k][k], scale[k]
+        lower.append(
+            tuple(
+                _share(Fraction(a[k][j] * scale[j], a[j][j] * s)) if j < k and a[k][j]
+                else one if j == k else zero
+                for j in range(n)
+            )
+        )
+        diag.append(
+            tuple(
+                _share(Fraction(p, prev * s)) if j == k else zero for j in range(n)
+            )
+        )
+        upper.append(
+            tuple(
+                _share(Fraction(a[k][j], p)) if j > k and a[k][j]
+                else one if j == k else zero
+                for j in range(n)
+            )
+        )
+        prev = p
+    return Matrix._of(tuple(lower)), Matrix._of(tuple(diag)), Matrix._of(tuple(upper))
 
 
 def _is_type_a(rd: RootDatum) -> bool:
@@ -265,10 +323,20 @@ class Pinning:
     # -- factorization -------------------------------------------------------
 
     def ldu(self, g: Matrix):
-        """Exact (lower-unitriangular, diagonal, upper-unitriangular) split."""
+        """Exact (lower-unitriangular, diagonal, upper-unitriangular) split.
+
+        Pivot-free, so it is also the big-cell membership test: the k-th
+        pivot vanishes exactly when the k-th leading principal minor does,
+        and then NotInBigCell is raised.  A matrix of Fractions is split by
+        fraction-free elimination on Python ints (``_ldu_rational``); any
+        other entries, such as RatFun, by elimination with one division per
+        entry and step.
+        """
         n = self.n
         if g.nrows != n or g.ncols != n:
             raise ValueError("size mismatch")
+        if all(type(x) is Fraction for row in g.rows for x in row):
+            return _ldu_rational(g.rows)
         a = [list(r) for r in g.rows]
         lower = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
         for k in range(n):

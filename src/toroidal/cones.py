@@ -185,7 +185,9 @@ class Cone:
     """Strongly convex rational polyhedral cone, canonicalized on build.
 
     Derived data (dual generators, Hilbert basis, faces) is cached on the
-    instance; all of it is deterministic.
+    instance; all of it is deterministic.  So are the monoid decompositions:
+    ``monoid_decompose`` keeps each certified one in the per-cone memo
+    ``_decomposed``, keyed by the integer character.
     """
 
     def __init__(self, rays, dim=None):
@@ -222,6 +224,7 @@ class Cone:
         self._hilbert = None
         self._hilbert_split = None
         self._faces = None
+        self._decomposed = {}
 
     def __eq__(self, other):
         if not isinstance(other, Cone):
@@ -317,11 +320,16 @@ class Cone:
     def monoid_decompose(self, m):
         """Nonnegative integer coefficients over the Hilbert basis, or raise.
 
-        Returns a dict {basis_element: coefficient} whose weighted sum is m.
+        Returns a fresh dict {basis_element: coefficient} whose weighted sum
+        is m.  A decomposition is memoized only once that sum is certified;
+        a refusal is never memoized.
         """
         m = _as_int_vector(m)
         if len(m) != self.dim:
             raise ValueError("dimension mismatch")
+        known = self._decomposed.get(m)
+        if known is not None:
+            return dict(known)
         for r in self.rays:
             if _pair(m, r) < 0:
                 raise NotInMonoid(f"{m} pairs negatively with ray {r}")
@@ -357,6 +365,7 @@ class Cone:
             raise NotInMonoid(f"{m} is not in the dual monoid")
         if _weighted_sum(coeffs, self.dim) != m:
             raise RuntimeError(f"decomposition of {m} does not sum back to it")
+        self._decomposed[m] = tuple(coeffs.items())
         return coeffs
 
     # -- faces ---------------------------------------------------------------

@@ -11,6 +11,10 @@ product of the pivots, which the kernel normalizes away.  The integer rank,
 ``integer_rank`` here and the rank tests in ``cones``, runs ``_int_rank``, a
 fraction-free (Bareiss) elimination on Python ints, because rank tests on
 lattice vectors are the hot loop of the cone layer and need no ``Fraction``.
+The big-cell split ``chevalley.Pinning.ldu`` eliminates on its own, without
+pivoting, since a vanishing pivot is its answer: a matrix of Fractions is
+cleared of denominators row by row and eliminated fraction-free on Python
+ints, like ``_int_rank``; a matrix with ``RatFun`` entries by division.
 """
 
 from __future__ import annotations

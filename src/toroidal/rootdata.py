@@ -36,11 +36,27 @@ class NotFiniteType(ValueError):
     """The Cartan matrix does not define a finite root system."""
 
 
+# the smallest rank of each series; G exists at rank 2 only
+_MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3, "G": 2}
+
+
 def cartan_matrix_of_type(letter: str, rank: int):
-    """Standard Cartan matrix of a classical series or G."""
+    """Standard Cartan matrix of a classical series or G.
+
+    The letter and the rank are checked before the rank x rank matrix is
+    built, so a refusal costs nothing whatever the rank.
+    """
+    if not isinstance(letter, str):
+        raise ValueError(f"type must be a string, got {letter!r}")
     letter = letter.upper()
     if rank < 1:
         raise ValueError("rank must be positive")
+    if letter not in _MIN_RANK:
+        raise ValueError(f"unknown type {letter!r}")
+    if letter == "G" and rank != 2:
+        raise ValueError("type G needs rank 2")
+    if rank < _MIN_RANK[letter]:
+        raise ValueError(f"type {letter} needs rank >= {_MIN_RANK[letter]}")
     c = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
 
     def bond(i, j, weight_ij=-1, weight_ji=-1):
@@ -51,30 +67,20 @@ def cartan_matrix_of_type(letter: str, rank: int):
         for i in range(rank - 1):
             bond(i, i + 1)
     elif letter == "B":
-        if rank < 2:
-            raise ValueError("type B needs rank >= 2")
         for i in range(rank - 2):
             bond(i, i + 1)
         bond(rank - 2, rank - 1, -2, -1)
     elif letter == "C":
-        if rank < 2:
-            raise ValueError("type C needs rank >= 2")
         for i in range(rank - 2):
             bond(i, i + 1)
         bond(rank - 2, rank - 1, -1, -2)
     elif letter == "D":
-        if rank < 3:
-            raise ValueError("type D needs rank >= 3")
         for i in range(rank - 3):
             bond(i, i + 1)
         bond(rank - 3, rank - 2)
         bond(rank - 3, rank - 1)
-    elif letter == "G":
-        if rank != 2:
-            raise ValueError("type G needs rank 2")
-        bond(0, 1, -1, -3)
     else:
-        raise ValueError(f"unknown type {letter!r}")
+        bond(0, 1, -1, -3)
     return c
 
 
@@ -189,9 +195,6 @@ class RootDatum:
 
     def reflection_on_cocharacters(self, i: int) -> Matrix:
         return self._n_refl[i]
-
-    def reflection_on_characters(self, i: int) -> Matrix:
-        return self._m_refl[i]
 
     def reflect_cocharacter(self, i: int, v):
         out = self._n_refl[i] @ tuple(v)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .cones import Cone, Fan
+from .cones import MAX_DIM, Cone, Fan
 from .rootdata import RootDatum, cartan_matrix_of_type
 
 __all__ = [
@@ -41,6 +41,10 @@ def load_root_datum(data: dict) -> RootDatum:
         rank = data["rank"]
         if not isinstance(rank, int) or isinstance(rank, bool):
             raise ValueError(f"rank must be an integer, got {rank!r}")
+        # no fan has more than MAX_DIM dimensions, so a larger rank can
+        # never be analyzed; refuse it before a rank x rank matrix is built
+        if rank > MAX_DIM:
+            raise ValueError(f"rank must be at most {MAX_DIM}, got {rank}")
         return RootDatum(cartan_matrix_of_type(data["type"], rank))
     raise ValueError('root datum needs "cartan_matrix" or "type" and "rank"')
 

@@ -10,9 +10,10 @@ from math import gcd as _igcd, lcm
 import pytest
 
 from toroidal.bigcell import DomainReport, MixedPoint, OutsideVi
+from toroidal.chevalley import NotInBigCell
 from toroidal.charts import coweight_scale, evaluate_character
 from toroidal.cones import Cone, generators_from_halfspaces
-from toroidal.linalg import _gauss_jordan, primitive_vector
+from toroidal.linalg import Matrix, _gauss_jordan, primitive_vector
 from toroidal.ratfun import PoleAtZero
 
 
@@ -62,6 +63,34 @@ def _fraction_rank(rows):
     """
     ncols = len(rows[0]) if rows else 0
     return len(_gauss_jordan([[Fraction(x) for x in r] for r in rows], ncols))
+
+
+def _ldu_by_division(g: Matrix):
+    """The (lower, diagonal, upper) split of g by one division per entry and step.
+
+    The split of Fraction matrices before the fraction-free elimination,
+    kept as a reference; RatFun matrices still take this path in
+    ``Pinning.ldu``.
+    """
+    n = g.nrows
+    a = [list(r) for r in g.rows]
+    lower = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    for k in range(n):
+        if a[k][k] == 0:
+            raise NotInBigCell(f"leading principal minor {k + 1} vanishes")
+        inv = 1 / a[k][k]
+        for i in range(k + 1, n):
+            if a[i][k] != 0:
+                f = a[i][k] * inv
+                lower[i][k] = f
+                for j in range(k, n):
+                    a[i][j] = a[i][j] - f * a[k][j]
+    diag = [a[i][i] for i in range(n)]
+    upper = [
+        [a[i][j] / diag[i] if j > i else (1 if i == j else 0) for j in range(n)]
+        for i in range(n)
+    ]
+    return Matrix(lower), Matrix.diagonal(diag), Matrix(upper)
 
 
 @functools.cache
@@ -538,6 +567,11 @@ def reflect_simple_by_products():
 @pytest.fixture(scope="session")
 def fraction_rank():
     return _fraction_rank
+
+
+@pytest.fixture(scope="session")
+def ldu_by_division():
+    return _ldu_by_division
 
 
 @pytest.fixture(scope="session")

@@ -159,6 +159,54 @@ def test_membership_iff_leading_minors():
     assert misses > 0
 
 
+def _seeded_fraction_matrix(rng, n):
+    """Entries 0, small ints or fractions; a leading minor made to vanish at times."""
+
+    def entry():
+        r = rng.random()
+        if r < 0.15:
+            return 0
+        if r < 0.45:
+            return rng.randint(-5, 5)
+        if r < 0.95:
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+        return Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**6))
+
+    rows = [[entry() for _ in range(n)] for _ in range(n)]
+    if rng.random() < 0.35:
+        # row k starts with a combination of the rows above it, so the
+        # (k+1)-th leading principal minor vanishes
+        k = rng.randrange(1, n)
+        coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(k)]
+        for j in range(k + 1):
+            rows[k][j] = sum((c * rows[i][j] for i, c in enumerate(coeffs)), Fraction(0))
+    return Matrix(rows)
+
+
+def test_fraction_free_ldu_matches_division(ldu_by_division):
+    pins = {n: pinning(n - 1) for n in range(2, 6)}
+    rng = random.Random(20260)
+    inside = outside = 0
+    for _ in range(6000):
+        n = rng.randint(2, 5)
+        g = _seeded_fraction_matrix(rng, n)
+        try:
+            want, want_err = ldu_by_division(g), None
+        except NotInBigCell as e:
+            want, want_err = None, str(e)
+        try:
+            got, got_err = pins[n].ldu(g), None
+        except NotInBigCell as e:
+            got, got_err = None, str(e)
+        assert got_err == want_err, g
+        if want_err is None:
+            assert got == want and repr(got) == repr(want), g
+            inside += 1
+        else:
+            outside += 1
+    assert inside > 2500 and outside > 2500
+
+
 def test_refactor_frozen_sl3(unipotent_refactor):
     pin = pinning(2)
     rd = pin.rd

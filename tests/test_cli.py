@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import toroidal.cli as cli
+from toroidal.cones import MAX_DIM
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -302,3 +303,52 @@ def test_analyze_rejects_conflicting_root_datum_keys(root, tmp_path, capsys):
     code, _, err = run_cli(argv, capsys)
     assert code == 1
     assert "cartan_matrix" in err
+
+
+@pytest.mark.parametrize("letter", [1, None, ["A"], {"A": 1}])
+def test_analyze_rejects_a_type_that_is_not_a_string(letter, tmp_path, capsys):
+    rd = tmp_path / "rd.json"
+    rd.write_text(json.dumps({"type": letter, "rank": 2}))
+    code, _, err = run_cli(analyze_args(rd, "fan_wedge.json", tmp_path / "r.json"), capsys)
+    assert code == 1
+    assert "type must be a string" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("rank", [5, 100000, 10**9])
+def test_analyze_refuses_a_rank_no_fan_can_have(rank, tmp_path, capsys, monkeypatch):
+    import toroidal.serialize as serialize
+
+    built = []
+
+    def spy(letter, rank):
+        built.append(rank)
+        raise AssertionError(f"a rank-{rank} Cartan matrix was built")
+
+    monkeypatch.setattr(serialize, "cartan_matrix_of_type", spy)
+    rd = tmp_path / "rd.json"
+    rd.write_text(json.dumps({"type": "A", "rank": rank}))
+    code, _, err = run_cli(analyze_args(rd, "fan_wedge.json", tmp_path / "r.json"), capsys)
+    assert code == 1
+    assert f"rank must be at most {MAX_DIM}" in err
+    assert not built
+
+
+def test_analyze_still_builds_a_root_datum_of_the_largest_rank(tmp_path, capsys, monkeypatch):
+    import toroidal.serialize as serialize
+
+    built = []
+    real = serialize.cartan_matrix_of_type
+
+    def spy(letter, rank):
+        built.append(rank)
+        return real(letter, rank)
+
+    monkeypatch.setattr(serialize, "cartan_matrix_of_type", spy)
+    rd = tmp_path / "rd.json"
+    rd.write_text(json.dumps({"type": "A", "rank": MAX_DIM}))
+    code, _, err = run_cli(analyze_args(rd, "fan_wedge.json", tmp_path / "r.json"), capsys)
+    # the wedge fan has dimension 2, so the fan is refused after the datum is built
+    assert code == 1
+    assert built == [MAX_DIM]
+    assert f"dimension {MAX_DIM}" in err

@@ -252,6 +252,43 @@ def test_monoid_decompose_certifies_its_sum(monkeypatch):
         Cone([(1, 0)], dim=2).monoid_decompose((1, 5))
 
 
+def test_monoid_decompose_is_memoized_per_cone(monkeypatch):
+    import toroidal.cones as cones
+
+    calls = []
+    pointed_decompose = cones._pointed_decompose
+
+    def counting(target, gens, facets):
+        calls.append(target)
+        return pointed_decompose(target, gens, facets)
+
+    monkeypatch.setattr(cones, "_pointed_decompose", counting)
+    c = Cone([(1, 0), (1, 2)])
+    first = c.monoid_decompose((3, 1))
+    want = dict(first)
+    first.clear()
+    first[(0, 1)] = 99
+    again = c.monoid_decompose((Fraction(3), 1))
+    assert again == want and again is not first
+    assert sum(k * h[0] for h, k in again.items()) == 3
+    assert len(calls) == 1
+    # an equal cone built afresh keeps its own memo
+    assert Cone([(1, 0), (1, 2)]).monoid_decompose((3, 1)) == want
+    assert len(calls) == 2
+    for m in ((2, 5), (0, 1), (3, 1), (2, 5)):
+        c.monoid_decompose(m)
+    assert len(calls) == 4
+    # refusals are never memoized
+    line = Cone([(1, 0)], dim=2)
+    for _ in range(3):
+        with pytest.raises(NotInMonoid):
+            c.monoid_decompose((-1, 0))
+        with pytest.raises(NotInMonoid):
+            line.monoid_decompose((-1, 3))
+    assert c._decomposed.keys() == {(3, 1), (2, 5), (0, 1)}
+    assert not line._decomposed
+
+
 def test_relations_hold_on_generators(relations_up_to_degree_6):
     c = Cone([(1, 0), (1, 2)])
     rels = relations_up_to_degree_6(c)

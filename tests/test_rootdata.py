@@ -139,3 +139,28 @@ def test_simple_index_outside_the_rank_is_refused():
             with pytest.raises(ValueError, match=f"simple index {i} .*range\\(2\\)"):
                 call()
     assert rd.simple_coroot(1) == (0, 1)
+
+
+def test_cartan_matrix_of_type_refusals():
+    for letter in (None, 1, ["A"]):
+        with pytest.raises(ValueError, match="type must be a string"):
+            cartan_matrix_of_type(letter, 2)
+    with pytest.raises(ValueError, match="unknown type 'E'"):
+        cartan_matrix_of_type("e", 6)
+    with pytest.raises(ValueError, match="rank must be positive"):
+        cartan_matrix_of_type("A", 0)
+    for letter, rank, message in (
+        ("B", 1, "rank >= 2"),
+        ("C", 1, "rank >= 2"),
+        ("D", 2, "rank >= 3"),
+        ("G", 3, "rank 2"),
+    ):
+        with pytest.raises(ValueError, match=f"type {letter} needs {message}"):
+            cartan_matrix_of_type(letter, rank)
+
+
+def test_library_root_data_above_the_fan_dimension_stay_valid():
+    # only the CLI refuses a rank no fan can match
+    rd = RootDatum.of_type("A", 5)
+    assert rd.rank == 5 and len(rd.roots) == 30
+    assert cartan_matrix_of_type("d", 5)[2][3:] == [-1, -1]
