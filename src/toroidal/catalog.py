@@ -90,8 +90,15 @@ def chamber_cones(rd: RootDatum):
 
     Returns the faces of the chamber itself together with a few subdivided
     cones through the chamber's interior, giving boundary charts of every
-    dimension for downstream sampling.
+    dimension for downstream sampling.  The cones are built once per root
+    datum and kept on it; each call returns a fresh list of them.
     """
+    if rd._chamber_cones is None:
+        rd._chamber_cones = tuple(_build_chamber_cones(rd))
+    return list(rd._chamber_cones)
+
+
+def _build_chamber_cones(rd: RootDatum):
     chamber = rd.negative_chamber()
     cones = list(chamber.faces())
     center = interior_cocharacter(chamber)

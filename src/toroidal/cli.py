@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage or input errors, 2 invalid fan,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -20,7 +21,9 @@ __all__ = ["main", "entry"]
 _STATUS_CODES = {"ok": 0, "invalid_fan": 2, "chamber_violation": 3}
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="toroidal",
         description="Exact verification of toroidal embedding data for split groups.",

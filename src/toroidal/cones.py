@@ -184,10 +184,10 @@ def _reduce_mod_lattice(ray, basis):
 class Cone:
     """Strongly convex rational polyhedral cone, canonicalized on build.
 
-    Derived data (dual generators, Hilbert basis, faces) is cached on the
-    instance; all of it is deterministic.  So are the monoid decompositions:
-    ``monoid_decompose`` keeps each certified one in the per-cone memo
-    ``_decomposed``, keyed by the integer character.
+    Derived data (dual generators, Hilbert basis, faces and the face cones)
+    is cached on the instance; all of it is deterministic.  So are the
+    monoid decompositions: ``monoid_decompose`` keeps each certified one in
+    the per-cone memo ``_decomposed``, keyed by the integer character.
     """
 
     def __init__(self, rays, dim=None):
@@ -224,6 +224,7 @@ class Cone:
         self._hilbert = None
         self._hilbert_split = None
         self._faces = None
+        self._face_cones = None
         self._decomposed = {}
 
     def __eq__(self, other):
@@ -396,7 +397,14 @@ class Cone:
         return self._faces
 
     def faces(self):
-        return tuple(Cone(sorted(s), self.dim) for s in self.face_ray_sets())
+        """All faces as cones, built once; the last one is the cone itself."""
+        if self._face_cones is None:
+            top = frozenset(self.rays)
+            self._face_cones = tuple(
+                self if s == top else Cone(sorted(s), self.dim)
+                for s in self.face_ray_sets()
+            )
+        return self._face_cones
 
 
 def _weighted_sum(coeffs, dim):

@@ -8,9 +8,9 @@ boundary limit exists.
 
 Every element of Q(eps) is a quotient of two integer polynomials, and by
 Gauss's lemma their gcd can be taken and divided out over the integers
-(primitive pseudo-remainder sequence; Geddes, Czapor and Labahn, *Algorithms
-for Computer Algebra*, 1992, ch. 7), so ``RatFun`` arithmetic never builds a
-``Fraction`` coefficient.
+(heuristic gcd, with the primitive pseudo-remainder sequence as fallback;
+Geddes, Czapor and Labahn, *Algorithms for Computer Algebra*, 1992, ch. 7),
+so ``RatFun`` arithmetic never builds a ``Fraction`` coefficient.
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ def _prem(a, b):
     return tuple(r)
 
 
-def _pgcd(a, b):
+def _prs_gcd(a, b):
     """A primitive gcd of two nonzero integer polynomials, up to sign.
 
     Primitive pseudo-remainder sequence: plain Euclid over the rationals
@@ -106,21 +106,75 @@ def _pgcd(a, b):
     return a
 
 
-def _exquo(a, b):
-    """The quotient a / b over the integers, where b divides a exactly."""
+def _peval(a, x: int) -> int:
+    out = 0
+    for c in reversed(a):
+        out = out * x + c
+    return out
+
+
+def _gcdheu(a, b):
+    """A primitive gcd of two nonzero integer polynomials, or None.
+
+    GCDHEU (Char, Geddes and Gonnet, J. Symbolic Comput. 7, 1989; Geddes,
+    Czapor and Labahn, *Algorithms for Computer Algebra*, 1992, 7.7): the
+    integer gcd of the values at xi, read back off its symmetric base-xi
+    digits, is the polynomial gcd once it divides both inputs, since xi
+    exceeds twice the smaller coefficient bound.  None after six values of
+    xi without such a candidate.
+    """
+    a, b = _primitive(a), _primitive(b)
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
+    for _ in range(6):
+        h = _igcd(_peval(a, xi), _peval(b, xi))
+        digits = []
+        while h:
+            d = h % xi
+            if 2 * d > xi:
+                d -= xi
+            digits.append(d)
+            h = (h - d) // xi
+        g = _primitive(_trim(digits))
+        if len(g) == 1 or (
+            g and _quotient(a, g) is not None and _quotient(b, g) is not None
+        ):
+            return g
+        xi = xi * 73794 // 27011
+    return None
+
+
+def _pgcd(a, b):
+    """A primitive gcd of two nonzero integer polynomials, up to sign.
+
+    GCDHEU first; the pseudo-remainder sequence decides what it leaves.
+    """
+    g = _gcdheu(a, b)
+    return _prs_gcd(a, b) if g is None else g
+
+
+def _quotient(a, b):
+    """The quotient a / b over the integers, or None if b does not divide a."""
     r = list(a)
     n, lb = len(b) - 1, b[-1]
     q = [0] * (len(a) - n)
     for k in range(len(q) - 1, -1, -1):
         c, rem = divmod(r[k + n], lb)
         if rem:
-            raise RuntimeError("polynomial division left a remainder")
+            return None
         q[k] = c
         for i, cb in enumerate(b):
             r[k + i] -= c * cb
     if any(r):
-        raise RuntimeError("polynomial division left a remainder")
+        return None
     return tuple(q)
+
+
+def _exquo(a, b):
+    """The quotient a / b over the integers, where b divides a exactly."""
+    q = _quotient(a, b)
+    if q is None:
+        raise RuntimeError("polynomial division left a remainder")
+    return q
 
 
 def _pstr(a, lead: int) -> str:

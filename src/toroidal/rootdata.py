@@ -142,6 +142,10 @@ class RootDatum:
         if set(self.roots) != set(self.positive_roots) | set(self.negative_roots):
             raise NotFiniteType("root set is not symmetric")
         self._weyl = None
+        # the chamber and `catalog.chamber_cones` are fixed data of the datum,
+        # built on first use; the cones keep their own memos
+        self._chamber = None
+        self._chamber_cones = None
 
     @classmethod
     def of_type(cls, letter: str, rank: int) -> "RootDatum":
@@ -175,14 +179,17 @@ class RootDatum:
         return all(self.pair_simple_root(i, v) <= 0 for i in range(self.rank))
 
     def negative_chamber(self):
-        """The cone {v : <alpha_i, v> <= 0 for all i} in N."""
+        """The cone {v : <alpha_i, v> <= 0 for all i} in N, built once per datum."""
+        if self._chamber is not None:
+            return self._chamber
         from .cones import Cone, generators_from_halfspaces
 
         normals = [tuple(-x for x in self.simple_root(i)) for i in range(self.rank)]
         rays, lineality = generators_from_halfspaces(normals, self.rank)
         if lineality:
             raise RuntimeError("chamber of a nonsingular Cartan matrix is pointed")
-        return Cone(rays, self.rank)
+        self._chamber = Cone(rays, self.rank)
+        return self._chamber
 
     # -- reflections --------------------------------------------------------
 

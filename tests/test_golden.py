@@ -42,6 +42,10 @@ _VERIFY = [
     ("action", 2, 4, 0),
     ("theta", 2, 4, 0),
     ("limits", 3, 1, 8),
+    # recorded with the pseudo-remainder gcd alone, which took 24 s and
+    # 199 s for these two
+    ("limits", 3, 1, 0),
+    ("limits", 3, 1, 3),
 ]
 
 _FIXTURE_FANS = [

@@ -6,7 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toroidal.ratfun import EPS, PoleAtZero, RatFun, _exquo, evaluate_at_zero
+from toroidal.ratfun import (
+    EPS,
+    PoleAtZero,
+    RatFun,
+    _exquo,
+    _gcdheu,
+    _pgcd,
+    _pmul,
+    _prs_gcd,
+    _trim,
+    evaluate_at_zero,
+)
 
 rationals = st.fractions(
     min_value=-30, max_value=30, max_denominator=7
@@ -62,6 +73,51 @@ def test_exact_quotient_raises_on_a_remainder():
         _exquo((1, 1), (2, 1))
     with pytest.raises(RuntimeError, match="remainder"):
         _exquo((1, 1), (1, 2))
+
+
+def _up_to_sign(g):
+    return g if g[-1] > 0 else tuple(-c for c in g)
+
+
+def test_heuristic_gcd_equals_the_pseudo_remainder_gcd():
+    rng = random.Random(20260)
+
+    def draw(degree, size):
+        cs = _trim([rng.randint(-size, size) for _ in range(degree + 1)])
+        return cs or (1,)
+
+    decided = 0
+    for _ in range(1500):
+        common = draw(rng.randint(0, 4), rng.choice((2, 9, 1000)))
+        a = _pmul(common, draw(rng.randint(0, 5), rng.choice((3, 50))))
+        b = _pmul(common, draw(rng.randint(0, 5), rng.choice((3, 50, 10**6))))
+        oracle = _up_to_sign(_prs_gcd(a, b))
+        heuristic = _gcdheu(a, b)
+        if heuristic is not None:
+            decided += 1
+            assert _up_to_sign(heuristic) == oracle, (a, b)
+        assert _up_to_sign(_pgcd(a, b)) == oracle, (a, b)
+    # the pseudo-remainder sequence is a fallback, not the common path
+    assert decided > 1400
+
+
+def test_heuristic_gcd_retries_past_a_root_at_xi():
+    # xi = 2 * 1 + 29 = 31 is a root of a, so the first gcd of values misleads
+    assert _up_to_sign(_gcdheu((-31, 1), (1, 1))) == (1,)
+    assert _up_to_sign(_pgcd((-31, 1), (1, 1))) == (1,)
+
+
+def test_pseudo_remainder_fallback_gives_the_same_form(monkeypatch):
+    import toroidal.ratfun as ratfun
+
+    def values():
+        f = (EPS**3 - 2 * EPS**2 - EPS + 2) / (3 * EPS**2 - 3)
+        g = (Fraction(1, 2) * EPS + 7) ** 3 / ((EPS + 14) * (EPS - 1) ** 2)
+        return [(h.num, h.den, repr(h)) for h in (f, g, f * g, f + g, f / g)]
+
+    heuristic = values()
+    monkeypatch.setattr(ratfun, "_gcdheu", lambda a, b: None)
+    assert values() == heuristic
 
 
 def test_power_negative_exponent():
