@@ -10,6 +10,7 @@ all computed in exact integer/rational arithmetic.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from fractions import Fraction
 from math import prod
 from operator import mul
@@ -433,11 +434,16 @@ def _solve_integer(mat: Matrix, target):
 
 
 def _pointed_hilbert(facets, extreme, dim):
-    """Hilbert basis of a pointed full-dimensional monoid by zonotope sieve.
+    """Hilbert basis of a pointed full-dimensional monoid by a degree-ordered sieve.
 
     Every irreducible element lies in the zonotope spanned by the extreme
-    rays, hence in its coordinate box; reducibility of a candidate is
-    witnessed by another candidate, so the sieve is exact.
+    rays, hence in its coordinate box; reducibility of a candidate h is
+    witnessed by another candidate c with h - c a candidate too.  Grade the
+    candidates by deg(p) = <sum of facets, p>, which is positive on every
+    nonzero member because the image is pointed and full-dimensional.
+    Degrees add, so one of c and h - c has degree at most deg(h) / 2:
+    trying only those c, lowest degree first, finds a witness exactly when
+    some candidate is one, and the sieve is exact.
     """
     lo = [sum(min(0, r[k]) for r in extreme) for k in range(dim)]
     hi = [sum(max(0, r[k]) for r in extreme) for k in range(dim)]
@@ -451,17 +457,14 @@ def _pointed_hilbert(facets, extreme, dim):
         if any(point) and all(_pair(f, point) >= 0 for f in facets):
             members.append(point)
     member_set = set(members)
+    weight = [sum(col) for col in zip(*facets)]
+    graded = sorted((_pair(weight, p), p) for p in members)
+    degrees = [deg for deg, _ in graded]
+    members = [p for _, p in graded]
     basis = []
-    for h in members:
-        reducible = False
-        for c in members:
-            if c == h:
-                continue
-            rest = tuple(a - b for a, b in zip(h, c))
-            if rest in member_set:
-                reducible = True
-                break
-        if not reducible:
+    for h, deg in zip(members, degrees):
+        halves = itertools.islice(members, bisect_right(degrees, deg // 2))
+        if not any(tuple(a - b for a, b in zip(h, c)) in member_set for c in halves):
             basis.append(h)
     return sorted(basis)
 

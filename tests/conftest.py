@@ -12,7 +12,7 @@ import pytest
 from toroidal.bigcell import DomainReport, MixedPoint, OutsideVi
 from toroidal.chevalley import NotInBigCell
 from toroidal.charts import coweight_scale, evaluate_character
-from toroidal.cones import Cone, generators_from_halfspaces
+from toroidal.cones import HILBERT_BOX_LIMIT, Cone, _pair, generators_from_halfspaces
 from toroidal.linalg import Matrix, _gauss_jordan, primitive_vector
 from toroidal.ratfun import PoleAtZero
 
@@ -53,6 +53,43 @@ def _splitting_by_double_description(cone: Cone):
     if ext_lin:
         raise RuntimeError("dual of the pointed quotient must be pointed")
     return facets, extreme
+
+
+def _pointed_hilbert_by_pairs(facets, extreme, dim):
+    """Hilbert basis of a pointed full-dimensional monoid by zonotope sieve.
+
+    The sieve before the degree order, kept as a reference: every candidate
+    is tested against every other candidate, quadratic in the box.
+
+    Every irreducible element lies in the zonotope spanned by the extreme
+    rays, hence in its coordinate box; reducibility of a candidate is
+    witnessed by another candidate, so the sieve is exact.
+    """
+    lo = [sum(min(0, r[k]) for r in extreme) for k in range(dim)]
+    hi = [sum(max(0, r[k]) for r in extreme) for k in range(dim)]
+    size = 1
+    for a, b in zip(lo, hi):
+        size *= b - a + 1
+        if size > HILBERT_BOX_LIMIT:
+            raise ValueError("Hilbert candidate box too large for desk scale")
+    members = []
+    for point in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
+        if any(point) and all(_pair(f, point) >= 0 for f in facets):
+            members.append(point)
+    member_set = set(members)
+    basis = []
+    for h in members:
+        reducible = False
+        for c in members:
+            if c == h:
+                continue
+            rest = tuple(a - b for a, b in zip(h, c))
+            if rest in member_set:
+                reducible = True
+                break
+        if not reducible:
+            basis.append(h)
+    return sorted(basis)
 
 
 def _fraction_rank(rows):
@@ -562,6 +599,11 @@ def reflect_simple_by_coordinates():
 @pytest.fixture(scope="session")
 def reflect_simple_by_products():
     return _reflect_simple_by_products
+
+
+@pytest.fixture(scope="session")
+def pointed_hilbert_by_pairs():
+    return _pointed_hilbert_by_pairs
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from toroidal.cones import (
     InvalidFan,
     NotInMonoid,
     ZeroCone,
+    _pointed_hilbert,
     cone_index,
     cone_is_smooth,
     face_witness,
@@ -159,6 +161,36 @@ def test_hilbert_matches_brute_force_on_catalog():
         assert sorted(cone.hilbert_basis) == brute_dual_hilbert(cone), cone
         checked += 1
     assert checked >= 10
+
+
+def test_degree_sieve_matches_pairwise_sieve(pointed_hilbert_by_pairs):
+    # seeded cones of every dimension of pointed quotient; boxes stay at
+    # most 1,500 points, since the pairwise oracle is quadratic in the box
+    rng = random.Random(1313)
+    compared = 0
+    while compared < 1000:
+        dim = rng.randint(2, 4)
+        c = 2 if dim == 4 else 3
+        n_rays = rng.randint(1, dim + 2)
+        rays = [tuple(rng.randint(-c, c) for _ in range(dim)) for _ in range(n_rays)]
+        try:
+            cone = Cone([r for r in rays if any(r)], dim)
+        except ValueError:
+            continue
+        _, _, _, facets, extreme, q = cone._splitting()
+        sides = [sum(abs(r[k]) for r in extreme) + 1 for k in range(q)]
+        if not q or math.prod(sides) > 1500:
+            continue
+        assert _pointed_hilbert(facets, extreme, q) == pointed_hilbert_by_pairs(
+            facets, extreme, q
+        ), rays
+        compared += 1
+
+
+@pytest.mark.parametrize("n", [1, 5, 50, 200])
+def test_hilbert_basis_of_two_ray_cone_closed_form(n):
+    expected = {(0, 1)} | {(k, 1 - k) for k in range(1, n + 2)}
+    assert set(Cone([(1, 0), (n, n + 1)]).hilbert_basis) == expected
 
 
 def test_hilbert_complete_and_minimal_with_lineality():

@@ -84,16 +84,16 @@ def _cases():
     }
     out["analyze-G2-half-star"] = (argv, files)
     # the chamber star-subdivided at the sum of its rays: cones share faces
-    for letter in ("A", "C"):
-        rays = [list(r) for r in RootDatum.of_type(letter, 3).negative_chamber().rays]
+    for letter, rank in (("A", 3), ("C", 3), ("A", 4), ("B", 4), ("C", 4), ("D", 4)):
+        rays = [list(r) for r in RootDatum.of_type(letter, rank).negative_chamber().rays]
         centre = [sum(col) for col in zip(*rays)]
         files = {
-            "rd.json": json.dumps({"type": letter, "rank": 3}),
+            "rd.json": json.dumps({"type": letter, "rank": rank}),
             "fan.json": json.dumps(
                 {"cones": [[r for r in rays if r is not skip] + [centre] for skip in rays]}
             ),
         }
-        out[f"analyze-{letter}3-star"] = (argv, files)
+        out[f"analyze-{letter}{rank}-star"] = (argv, files)
     for root, fan in _FIXTURE_FANS:
         argv = ["analyze", "--root-datum", str(FIXTURES / root), "--fan", str(FIXTURES / fan),
                 "--out", "{tmp}/out.json"]
