@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cones import Cone, NotInMonoid, _pair, interior_cocharacter
-from .linalg import Matrix, integer_kernel
+from .cones import Cone, NotInMonoid, interior_cocharacter
+from .linalg import Matrix, dot, integer_kernel
 from .ratfun import RatFun, evaluate_at_zero
 
 __all__ = [
@@ -91,8 +91,8 @@ class ChartPoint:
         # support, which the rays orthogonal to u cut out
         support = [h for h in cone.hilbert_basis if vals[h] != 0]
         u = tuple(sum(h[k] for h in support) for k in range(cone.dim))
-        face = [r for r in cone.rays if _pair(u, r) == 0]
-        on_face = [h for h in cone.hilbert_basis if all(_pair(h, r) == 0 for r in face)]
+        face = [r for r in cone.rays if dot(u, r) == 0]
+        on_face = [h for h in cone.hilbert_basis if all(dot(h, r) == 0 for r in face)]
         if support != on_face:
             raise InvalidChartValues(f"nonzero values on {support}, not on a face")
         if not support:
@@ -167,7 +167,7 @@ def identity_point(cone: Cone) -> ChartPoint:
 def limit_point(delta, cone: Cone) -> ChartPoint:
     """The boundary point lim_{eps->0} of the one-parameter curve of delta."""
     delta = tuple(int(x) for x in delta)
-    pairings = {h: _pair(h, delta) for h in cone.hilbert_basis}
+    pairings = {h: dot(h, delta) for h in cone.hilbert_basis}
     if any(v < 0 for v in pairings.values()):
         raise LimitDoesNotExist(f"{delta} is not in the cone")
     values = {
@@ -204,7 +204,7 @@ def coweight_scale(p: ChartPoint, delta, scalar) -> ChartPoint:
         raise ZeroScalar("coweight scaling needs an invertible scalar")
     delta = tuple(int(x) for x in delta)
     values = {
-        h: _power(scalar, _pair(h, delta)) * v for h, v in p.values.items()
+        h: _power(scalar, dot(h, delta)) * v for h, v in p.values.items()
     }
     return ChartPoint._trusted(p.cone, values)
 
@@ -230,7 +230,7 @@ def wonderful_coords(p: ChartPoint, rd):
 
 def in_closed_orbit(p: ChartPoint) -> bool:
     for h in p.cone.hilbert_basis:
-        if any(_pair(h, r) != 0 for r in p.cone.rays):
+        if any(dot(h, r) != 0 for r in p.cone.rays):
             if p.values[h] != 0:
                 return False
     return True
@@ -249,8 +249,8 @@ def _torus_shift(e, w, rays) -> int:
     """
     k = 0
     for r in rays:
-        num = -_pair(e, r)
-        den = _pair(w, r)
+        num = -dot(e, r)
+        den = dot(w, r)
         if den <= 0:
             raise RuntimeError("the dual-ray sum must pair positively with every ray")
         k = max(k, -(-num // den))

@@ -24,9 +24,9 @@ is applied without a dense product:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
-from .linalg import _SMALL, Matrix, _coerce_entry, _share
+from .linalg import _SMALL, Matrix, _bareiss, _coerce_entry, _share
+from .ratfun import _cleared
 from .rootdata import RootDatum
 
 __all__ = [
@@ -118,32 +118,24 @@ def conjugate_diagonal(d, d_inv, g: Matrix) -> Matrix:
 def _ldu_rational(rows):
     """The ldu split of a square matrix of Fractions, on Python ints.
 
-    Row i is cleared of denominators by the lcm s_i of its denominators, and
-    the integer matrix is eliminated fraction-free (Bareiss, Math. Comp. 22,
-    1968): each step divides exactly by the previous pivot, so after step k
-    every entry is a minor and the k-th pivot p_k is the (k+1)-th leading
-    principal minor of the cleared matrix.  Each output entry is then one
-    Fraction: L[i][k] = a_ik s_k / (p_k s_i), D_k = p_k / (p_{k-1} s_k) and
-    U[k][j] = a_kj / p_k, with a the integer entries left by the elimination.
+    Row i is cleared of denominators by the lcm s_i of its denominators and
+    eliminated by ``linalg._bareiss``.  While step k pivots at (k, k) no row
+    was swapped, so the pivot p_k is the (k+1)-th leading principal minor;
+    the first step that does not, or is missing, names a vanishing one.
+    Each output entry is then one Fraction: L[i][k] = a_ik s_k / (p_k s_i),
+    D_k = p_k / (p_{k-1} s_k) and U[k][j] = a_kj / p_k, with a the integer
+    entries left by the elimination.
     """
     n = len(rows)
-    scale = [lcm(*(x.denominator for x in row)) for row in rows]
-    a = [
-        [x.numerator * (s // x.denominator) for x in row]
-        for row, s in zip(rows, scale)
-    ]
-    prev = 1
-    for k in range(n):
-        ak = a[k]
-        p = ak[k]
-        if not p:
-            raise NotInBigCell(f"leading principal minor {k + 1} vanishes")
-        for i in range(k + 1, n):
-            ai = a[i]
-            f = ai[k]
-            for j in range(k + 1, n):
-                ai[j] = (ai[j] * p - f * ak[j]) // prev
-        prev = p
+    cleared = [_cleared(row) for row in rows]
+    a = [ints for ints, _ in cleared]
+    scale = [s for _, s in cleared]
+    steps = _bareiss(a)
+    k = 0
+    while k < len(steps) and steps[k] == (k, k):
+        k += 1
+    if k < n:
+        raise NotInBigCell(f"leading principal minor {k + 1} vanishes")
     zero, one = _SMALL[64], _SMALL[65]
     lower, diag, upper = [], [], []
     prev = 1

@@ -13,17 +13,18 @@ import itertools
 from bisect import bisect_right
 from fractions import Fraction
 from math import prod
-from operator import mul
 
 from .linalg import (
     Matrix,
     _gauss_jordan,
     _int_rank as _rank,
+    dot,
     integer_inverse,
     integer_kernel,
     primitive_vector,
     smith_normal_form,
 )
+from .ratfun import _cleared
 
 __all__ = [
     "MAX_DIM",
@@ -81,26 +82,6 @@ def _as_int_vector(v):
     return tuple(out)
 
 
-def _pair(u, v):
-    """The pairing of a lattice vector with a (co)lattice vector.
-
-    On int vectors the sum is an int: unlike ``linalg.dot`` it starts from
-    no ``Fraction``.  Vectors of different lengths are refused like ``dot``.
-    """
-    if len(u) != len(v):
-        raise ValueError("dot of vectors with different lengths")
-    return sum(map(mul, u, v))
-
-
-def _clear_denominators(v):
-    from math import lcm
-
-    denom = 1
-    for x in v:
-        denom = lcm(denom, Fraction(x).denominator)
-    return tuple(int(x * denom) for x in v)
-
-
 def generators_from_halfspaces(normals, dim):
     """Extreme rays and lineality basis of {x : <n, x> >= 0 for all n}.
 
@@ -124,33 +105,33 @@ def generators_from_halfspaces(normals, dim):
             r = primitive_vector(r)
             if not any(r) or r in seen:
                 continue
-            if _rank([p for p in processed if _pair(p, r) == 0]) == need:
+            if _rank([p for p in processed if dot(p, r) == 0]) == need:
                 kept.append(r)
                 seen.add(r)
         return kept
 
     for h in normals:
         processed.append(h)
-        hit = next((b for b in lin if _pair(h, b) != 0), None)
+        hit = next((b for b in lin if dot(h, b) != 0), None)
         if hit is not None:
-            b0 = hit if _pair(h, hit) > 0 else tuple(-x for x in hit)
-            s0 = _pair(h, b0)
+            b0 = hit if dot(h, hit) > 0 else tuple(-x for x in hit)
+            s0 = dot(h, b0)
             lin = [
-                primitive_vector(tuple(s0 * b[k] - _pair(h, b) * b0[k] for k in range(dim)))
+                primitive_vector(tuple(s0 * b[k] - dot(h, b) * b0[k] for k in range(dim)))
                 for b in lin
                 if b is not hit
             ]
             rays = [
-                tuple(s0 * r[k] - _pair(h, r) * b0[k] for k in range(dim)) for r in rays
+                tuple(s0 * r[k] - dot(h, r) * b0[k] for k in range(dim)) for r in rays
             ]
             rays.append(b0)
         else:
-            plus = [r for r in rays if _pair(h, r) > 0]
-            zero = [r for r in rays if _pair(h, r) == 0]
-            minus = [r for r in rays if _pair(h, r) < 0]
+            plus = [r for r in rays if dot(h, r) > 0]
+            zero = [r for r in rays if dot(h, r) == 0]
+            minus = [r for r in rays if dot(h, r) < 0]
             combos = [
                 tuple(
-                    _pair(h, rp) * rm[k] - _pair(h, rm) * rp[k] for k in range(dim)
+                    dot(h, rp) * rm[k] - dot(h, rm) * rp[k] for k in range(dim)
                 )
                 for rp in plus
                 for rm in minus
@@ -178,8 +159,7 @@ def _reduce_mod_lattice(ray, basis):
         if vec[col]:
             f = vec[col]
             vec = [a - f * b for a, b in zip(vec, work[r])]
-    out = _clear_denominators(vec)
-    return primitive_vector(out)
+    return primitive_vector(_cleared(vec)[0])
 
 
 class Cone:
@@ -220,7 +200,7 @@ class Cone:
         self.rays = tuple(
             r
             for r in prim
-            if _rank([g for g in self._dual_gens if _pair(g, r) == 0]) == dim - 1
+            if _rank([g for g in self._dual_gens if dot(g, r) == 0]) == dim - 1
         )
         self._hilbert = None
         self._hilbert_split = None
@@ -244,7 +224,7 @@ class Cone:
 
     def contains(self, v) -> bool:
         v = tuple(v)
-        return all(_pair(g, v) >= 0 for g in self._dual_gens)
+        return all(dot(g, v) >= 0 for g in self._dual_gens)
 
     def dual_generators(self):
         """Generators of the dual cone: extreme rays plus +-lineality."""
@@ -333,7 +313,7 @@ class Cone:
         if known is not None:
             return dict(known)
         for r in self.rays:
-            if _pair(m, r) < 0:
+            if dot(m, r) < 0:
                 raise NotInMonoid(f"{m} pairs negatively with ray {r}")
         group_basis, quotient, lift, facets, extreme, q_dim = self._splitting()
         hb = self.hilbert_basis
@@ -377,7 +357,7 @@ class Cone:
         if self._faces is None:
             all_rays = frozenset(self.rays)
             vanishing = [
-                frozenset(r for r in self.rays if _pair(g, r) == 0)
+                frozenset(r for r in self.rays if dot(g, r) == 0)
                 for g in self.dual_rays
             ]
             found = {all_rays}
@@ -454,11 +434,11 @@ def _pointed_hilbert(facets, extreme, dim):
             raise ValueError("Hilbert candidate box too large for desk scale")
     members = []
     for point in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
-        if any(point) and all(_pair(f, point) >= 0 for f in facets):
+        if any(point) and all(dot(f, point) >= 0 for f in facets):
             members.append(point)
     member_set = set(members)
     weight = [sum(col) for col in zip(*facets)]
-    graded = sorted((_pair(weight, p), p) for p in members)
+    graded = sorted((dot(weight, p), p) for p in members)
     degrees = [deg for deg, _ in graded]
     members = [p for _, p in graded]
     basis = []
@@ -471,7 +451,7 @@ def _pointed_hilbert(facets, extreme, dim):
 
 def _pointed_decompose(target, gens, facets):
     """Nonnegative integer combination of gens equal to target, or None."""
-    if any(sum(_pair(f, g) for f in facets) <= 0 for g in gens):
+    if any(sum(dot(f, g) for f in facets) <= 0 for g in gens):
         raise RuntimeError("generators must be outside the unit group")
     # depth-first search over the generators in order, with an explicit
     # stack of (remainder, generator taken); remainders already shown to
@@ -482,7 +462,7 @@ def _pointed_decompose(target, gens, facets):
     while any(x):
         for idx in range(start, len(gens)):
             rest = tuple(a - b for a, b in zip(x, gens[idx]))
-            if rest not in failed and all(_pair(f, rest) >= 0 for f in facets):
+            if rest not in failed and all(dot(f, rest) >= 0 for f in facets):
                 stack.append((x, idx))
                 x, start = rest, 0
                 break
@@ -512,10 +492,10 @@ def face_witness(face: Cone, cone: Cone):
     vanish_on_face = [
         g
         for g in cone.dual_rays
-        if all(_pair(g, r) == 0 for r in face.rays)
+        if all(dot(g, r) == 0 for r in face.rays)
     ]
     u = tuple(sum(g[k] for g in vanish_on_face) for k in range(cone.dim))
-    cut = tuple(sorted(r for r in cone.rays if _pair(u, r) == 0))
+    cut = tuple(sorted(r for r in cone.rays if dot(u, r) == 0))
     if cut == face.rays:
         return u
     return None
@@ -678,7 +658,7 @@ def _covers(fan: Fan, boundary) -> bool:
             continue
         rays = frozenset(wall.rays)
         touching = sum(rays in c.face_ray_sets() for c in full)
-        on_boundary = any(all(_pair(g, r) == 0 for r in wall.rays) for g in boundary)
+        on_boundary = any(all(dot(g, r) == 0 for r in wall.rays) for g in boundary)
         if touching != (1 if on_boundary else 2):
             return False
     return True

@@ -4,25 +4,25 @@ Matrices are immutable tuples of tuples.  Entries may be ``Fraction`` or
 ``RatFun``; integer input is coerced to ``Fraction``.  Everything is exact:
 elimination never pivots for numerical stability, only for non-vanishing.
 
-One Gauss-Jordan kernel, ``_gauss_jordan``, does the elimination for
-``Matrix.inverse`` (on ``[A | I]``) and the lattice helpers in ``cones``.
-``Matrix.det`` keeps its own forward elimination because it needs the
-product of the pivots, which the kernel normalizes away.  The integer rank,
-``integer_rank`` here and the rank tests in ``cones``, runs ``_int_rank``, a
-fraction-free (Bareiss) elimination on Python ints, because rank tests on
-lattice vectors are the hot loop of the cone layer and need no ``Fraction``.
-The big-cell split ``chevalley.Pinning.ldu`` eliminates on its own, without
-pivoting, since a vanishing pivot is its answer: a matrix of Fractions is
-cleared of denominators row by row and eliminated fraction-free on Python
-ints, like ``_int_rank``; a matrix with ``RatFun`` entries by division.
+``_bareiss``, a fraction-free elimination on Python ints, gives the pivots
+for the integer rank (``_int_rank``, behind ``integer_rank`` and the rank
+tests of ``cones``), ``Matrix.det`` and the big-cell split of a matrix of
+Fractions in ``chevalley.Pinning.ldu``; rational rows are cleared of
+denominators first.  ``_gauss_jordan`` stays for ``Matrix.inverse``, which
+also inverts ``RatFun`` matrices, and for the lattice helpers of ``cones``,
+which need reduced rows rather than pivots.  ``Pinning.ldu`` splits a
+``RatFun`` matrix by division, since Bareiss over Z[eps] would need an exact
+polynomial division per entry and step.  ``smith_normal_form`` uses
+unimodular operations only, so it keeps the lattice.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
+from operator import mul
 
-from .ratfun import RatFun
+from .ratfun import RatFun, _cleared
 
 __all__ = [
     "Matrix",
@@ -56,10 +56,11 @@ def _coerce_entry(x):
     raise TypeError(f"unsupported matrix entry {x!r}")
 
 
-def dot(u, v) -> Fraction:
+def dot(u, v):
+    """The pairing sum of u_i v_i; int vectors pair to an int."""
     if len(u) != len(v):
         raise ValueError("dot of vectors with different lengths")
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+    return sum(map(mul, u, v))
 
 
 def _entry_dot(u, v):
@@ -83,7 +84,7 @@ def primitive_vector(v):
 
 
 class Matrix:
-    """Immutable exact matrix supporting @, det and inverse."""
+    """Immutable exact matrix supporting @, det (of rational entries) and inverse."""
 
     __slots__ = ("rows",)
 
@@ -161,6 +162,8 @@ class Matrix:
     def __add__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
+        if self.nrows != other.nrows or self.ncols != other.ncols:
+            raise ValueError("shape mismatch in matrix sum")
         return Matrix(
             [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
         )
@@ -168,6 +171,8 @@ class Matrix:
     def __sub__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
+        if self.nrows != other.nrows or self.ncols != other.ncols:
+            raise ValueError("shape mismatch in matrix difference")
         return Matrix(
             [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
         )
@@ -186,28 +191,20 @@ class Matrix:
             isinstance(x, Fraction) and x.denominator == 1 for r in self.rows for x in r
         )
 
-    def det(self):
+    def det(self) -> Fraction:
+        """+-(last ``_bareiss`` pivot of the rows cleared by s_i) / prod s_i."""
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.nrows
-        a = [list(r) for r in self.rows]
-        sign = 1
-        result = Fraction(1)
-        for k in range(n):
-            piv = next((i for i in range(k, n) if a[i][k]), None)
-            if piv is None:
-                return Fraction(0) * result
-            if piv != k:
-                a[k], a[piv] = a[piv], a[k]
-                sign = -sign
-            result = result * a[k][k]
-            inv = 1 / a[k][k]
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    f = a[i][k] * inv
-                    for j in range(k, n):
-                        a[i][j] = a[i][j] - f * a[k][j]
-        return sign * result
+        if not all(isinstance(x, Fraction) for r in self.rows for x in r):
+            raise TypeError("determinant of a matrix with non-rational entries")
+        cleared = [_cleared(r) for r in self.rows]
+        a = [ints for ints, _ in cleared]
+        steps = _bareiss(a)
+        if len(steps) < self.nrows:
+            return Fraction(0)
+        swaps = sum(row != k for k, (row, _) in enumerate(steps))
+        last = a[-1][-1] if a else 1
+        return Fraction(-last if swaps % 2 else last, prod(s for _, s in cleared))
 
     def inverse(self) -> "Matrix":
         if self.nrows != self.ncols:
@@ -343,14 +340,49 @@ def smith_normal_form(m: Matrix):
     return Matrix(u), Matrix(a), Matrix(v)
 
 
-def _int_rank(rows) -> int:
-    """Rank of a list of integer rows, by fraction-free elimination.
+def _bareiss(a):
+    """Fraction-free elimination, in place, on a list of equal-length int rows.
 
-    Bareiss's one-step elimination: after each pivot every entry below it
-    is a minor of the input, so the division by the previous pivot is exact
-    and the entries stay integers of bounded size (Bareiss, Math. Comp. 22,
-    1968).  Rows that are not all plain ints go through ``Matrix`` and
-    ``_int_rows``, which refuse ragged rows and non-integer entries.
+    Column by column, the first row at or below the next pivot row with a
+    nonzero entry is swapped up, and each later row r becomes
+    (p * r - r[col] * pivot row) // prev right of the pivot column, which
+    keeps its entries below the pivot; prev is the pivot before p (1 at
+    first).  Every entry so made is a minor
+    of the swapped rows, so the division is exact and the k-th pivot is the
+    minor on the first k pivot rows and columns (Bareiss, Math. Comp. 22,
+    1968).  Returns one ``(row swapped up, column)`` pair per pivot.
+    """
+    nrows = len(a)
+    ncols = len(a[0]) if a else 0
+    steps = []
+    prev = 1
+    for col in range(ncols):
+        row = len(steps)
+        if row == nrows:
+            break
+        piv = row
+        while piv < nrows and not a[piv][col]:
+            piv += 1
+        if piv == nrows:
+            continue
+        a[row], a[piv] = a[piv], a[row]
+        prow = a[row]
+        p = prow[col]
+        for i in range(row + 1, nrows):
+            ai = a[i]
+            f = ai[col]
+            for j in range(col + 1, ncols):
+                ai[j] = (ai[j] * p - f * prow[j]) // prev
+        prev = p
+        steps.append((piv, col))
+    return steps
+
+
+def _int_rank(rows) -> int:
+    """Rank of a list of integer rows, by ``_bareiss``.
+
+    Rows that are not all plain ints go through ``Matrix`` and ``_int_rows``,
+    which refuse ragged rows and non-integer entries.
     """
     a = [list(r) for r in rows]
     if not all(type(x) is int for r in a for x in r):
@@ -358,22 +390,7 @@ def _int_rank(rows) -> int:
     ncols = len(a[0]) if a else 0
     if any(len(r) != ncols for r in a):
         raise ValueError("ragged rows")
-    rank, prev = 0, 1
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(a)) if a[i][col]), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        prow = a[rank]
-        p = prow[col]
-        for i in range(rank + 1, len(a)):
-            f = a[i][col]
-            a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], prow)]
-        prev = p
-        rank += 1
-        if rank == len(a):
-            break
-    return rank
+    return len(_bareiss(a))
 
 
 def integer_rank(m: Matrix) -> int:

@@ -36,15 +36,20 @@ def _trim(cs: list) -> tuple:
     return tuple(cs)
 
 
+def _cleared(xs):
+    """Ints n_i and the least d > 0 with x_i == n_i / d, for rationals x_i."""
+    d = lcm(*(x.denominator for x in xs))
+    return [x.numerator * (d // x.denominator) for x in xs], d
+
+
 def _ints(x):
     """Integer coefficients and a positive d with x == coefficients / d."""
     if isinstance(x, (int, Fraction)):
         x = (x,)
     if not isinstance(x, (tuple, list)):
         raise TypeError(f"cannot build a polynomial from {x!r}")
-    fs = [Fraction(c) for c in x]
-    d = lcm(*(f.denominator for f in fs))
-    return _trim([f.numerator * (d // f.denominator) for f in fs]), d
+    cs, d = _cleared([Fraction(c) for c in x])
+    return _trim(cs), d
 
 
 def _padd(a, b):

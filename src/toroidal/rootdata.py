@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .linalg import Matrix, dot
 
@@ -168,10 +167,10 @@ class RootDatum:
         return tuple(1 if j == i else 0 for j in range(self.rank))
 
     @staticmethod
-    def pairing(m, v) -> Fraction:
+    def pairing(m, v) -> int:
         return dot(m, v)
 
-    def pair_simple_root(self, i: int, v) -> Fraction:
+    def pair_simple_root(self, i: int, v) -> int:
         """<alpha_i, v> for a cocharacter v."""
         return dot(self.simple_root(i), v)
 

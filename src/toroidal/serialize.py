@@ -30,19 +30,24 @@ def parse_rational(s: str) -> Fraction:
 
 
 def load_root_datum(data: dict) -> RootDatum:
-    """Build a root datum from {"type","rank"} or {"cartan_matrix"} JSON."""
+    """Build a root datum from {"type","rank"} or {"cartan_matrix"} JSON.
+
+    No fan has more than MAX_DIM dimensions, so a larger rank can never be
+    analyzed; it is refused before any matrix or root system is built.
+    """
     if not isinstance(data, dict):
         raise ValueError("root datum must be a JSON object")
     if "cartan_matrix" in data:
         if "type" in data or "rank" in data:
             raise ValueError('root datum names both "cartan_matrix" and "type"/"rank"')
-        return RootDatum(data["cartan_matrix"])
+        cartan = data["cartan_matrix"]
+        if isinstance(cartan, list) and len(cartan) > MAX_DIM:
+            raise ValueError(f"rank must be at most {MAX_DIM}, got {len(cartan)}")
+        return RootDatum(cartan)
     if "type" in data and "rank" in data:
         rank = data["rank"]
         if not isinstance(rank, int) or isinstance(rank, bool):
             raise ValueError(f"rank must be an integer, got {rank!r}")
-        # no fan has more than MAX_DIM dimensions, so a larger rank can
-        # never be analyzed; refuse it before a rank x rank matrix is built
         if rank > MAX_DIM:
             raise ValueError(f"rank must be at most {MAX_DIM}, got {rank}")
         return RootDatum(cartan_matrix_of_type(data["type"], rank))

@@ -12,8 +12,8 @@ import pytest
 from toroidal.bigcell import DomainReport, MixedPoint, OutsideVi
 from toroidal.chevalley import NotInBigCell
 from toroidal.charts import coweight_scale, evaluate_character
-from toroidal.cones import HILBERT_BOX_LIMIT, Cone, _pair, generators_from_halfspaces
-from toroidal.linalg import Matrix, _gauss_jordan, primitive_vector
+from toroidal.cones import HILBERT_BOX_LIMIT, Cone, generators_from_halfspaces
+from toroidal.linalg import Matrix, _gauss_jordan, dot, primitive_vector
 from toroidal.ratfun import PoleAtZero
 
 
@@ -74,7 +74,7 @@ def _pointed_hilbert_by_pairs(facets, extreme, dim):
             raise ValueError("Hilbert candidate box too large for desk scale")
     members = []
     for point in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
-        if any(point) and all(_pair(f, point) >= 0 for f in facets):
+        if any(point) and all(dot(f, point) >= 0 for f in facets):
             members.append(point)
     member_set = set(members)
     basis = []
@@ -100,6 +100,35 @@ def _fraction_rank(rows):
     """
     ncols = len(rows[0]) if rows else 0
     return len(_gauss_jordan([[Fraction(x) for x in r] for r in rows], ncols))
+
+
+def _det_by_elimination(m: Matrix):
+    """The determinant by forward elimination on the entries, with row swaps.
+
+    ``Matrix.det`` before it ran on the fraction-free kernel, kept as a
+    reference.
+    """
+    if m.nrows != m.ncols:
+        raise ValueError("determinant of a non-square matrix")
+    n = m.nrows
+    a = [list(r) for r in m.rows]
+    sign = 1
+    result = Fraction(1)
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return Fraction(0) * result
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        result = result * a[k][k]
+        inv = 1 / a[k][k]
+        for i in range(k + 1, n):
+            if a[i][k]:
+                f = a[i][k] * inv
+                for j in range(k, n):
+                    a[i][j] = a[i][j] - f * a[k][j]
+    return sign * result
 
 
 def _ldu_by_division(g: Matrix):
@@ -609,6 +638,11 @@ def pointed_hilbert_by_pairs():
 @pytest.fixture(scope="session")
 def fraction_rank():
     return _fraction_rank
+
+
+@pytest.fixture(scope="session")
+def det_by_elimination():
+    return _det_by_elimination
 
 
 @pytest.fixture(scope="session")

@@ -207,6 +207,29 @@ def test_fraction_free_ldu_matches_division(ldu_by_division):
     assert inside > 2500 and outside > 2500
 
 
+@pytest.mark.parametrize(
+    "rows, minor",
+    [
+        # the elimination swaps a row up at the first step
+        ([[0, 1], [1, 0]], 1),
+        # no pivot in column 0; the first pivot is (1, 1)
+        ([[0, 0], [0, 1]], 1),
+        # singular: the second step finds no pivot at all
+        ([[1, 2], [2, 4]], 2),
+        # invertible, and the second step swaps the last row up
+        ([[1, 1, 0], [1, 1, 1], [0, 1, 1]], 2),
+        # the second step skips column 1 and pivots at (1, 2)
+        ([[1, 1, 0], [1, 1, 1], [0, 0, 1]], 2),
+        # the first two minors are nonzero, the matrix is singular
+        ([[1, 0, 1], [0, 1, 1], [1, 1, 2]], 3),
+    ],
+)
+def test_ldu_names_the_first_vanishing_minor(rows, minor):
+    g = Matrix(rows)
+    with pytest.raises(NotInBigCell, match=f"^leading principal minor {minor} vanishes$"):
+        pinning(g.nrows - 1).ldu(g)
+
+
 def test_refactor_frozen_sl3(unipotent_refactor):
     pin = pinning(2)
     rd = pin.rd

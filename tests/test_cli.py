@@ -334,6 +334,29 @@ def test_analyze_refuses_a_rank_no_fan_can_have(rank, tmp_path, capsys, monkeypa
     assert not built
 
 
+@pytest.mark.parametrize("size", [5, 40])
+def test_analyze_refuses_a_cartan_matrix_no_fan_can_have(size, tmp_path, capsys, monkeypatch):
+    import toroidal.serialize as serialize
+
+    built = []
+
+    def spy(cartan):
+        built.append(len(cartan))
+        raise AssertionError(f"a rank-{len(cartan)} root datum was built")
+
+    monkeypatch.setattr(serialize, "RootDatum", spy)
+    cartan = [
+        [2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(size)]
+        for i in range(size)
+    ]
+    rd = tmp_path / "rd.json"
+    rd.write_text(json.dumps({"cartan_matrix": cartan}))
+    code, _, err = run_cli(analyze_args(rd, "fan_wedge.json", tmp_path / "r.json"), capsys)
+    assert code == 1
+    assert f"rank must be at most {MAX_DIM}, got {size}" in err
+    assert not built
+
+
 def test_analyze_still_builds_a_root_datum_of_the_largest_rank(tmp_path, capsys, monkeypatch):
     import toroidal.serialize as serialize
 

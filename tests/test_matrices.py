@@ -16,6 +16,7 @@ from toroidal.linalg import (
     primitive_vector,
     smith_normal_form,
 )
+from toroidal.ratfun import EPS
 
 int_entries = st.integers(min_value=-9, max_value=9)
 
@@ -55,6 +56,62 @@ def test_det_and_inverse():
     assert a.inverse() @ a == Matrix.identity(2)
     with pytest.raises(ZeroDivisionError):
         Matrix([[1, 2], [2, 4]]).inverse()
+
+
+def _det_cases(rng):
+    """Seeded rational matrices of size 0-5, some singular and some with a
+    zero (0, 0) entry, so that the elimination has to swap rows."""
+
+    def entry():
+        r = rng.random()
+        if r < 0.2:
+            return 0
+        if r < 0.5:
+            return rng.randint(-9, 9)
+        if r < 0.95:
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+        return Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**6))
+
+    for _ in range(2000):
+        n = rng.randint(0, 5)
+        rows = [[entry() for _ in range(n)] for _ in range(n)]
+        r = rng.random()
+        if n and r < 0.3:
+            rows[0][0] = 0
+        elif n > 1 and r < 0.5:
+            # the last row a combination of the first two
+            c, d = Fraction(rng.randint(-5, 5), rng.randint(1, 4)), rng.randint(-5, 5)
+            rows[-1] = [c * x + d * y for x, y in zip(rows[0], rows[1])]
+        yield Matrix(rows)
+
+
+def test_det_matches_elimination(det_by_elimination):
+    singular = swapped = 0
+    for m in _det_cases(random.Random(14)):
+        want = det_by_elimination(m)
+        got = m.det()
+        assert type(got) is Fraction and got == want, m
+        if m.nrows and not want:
+            singular += 1
+        elif m.nrows and not m[0, 0]:
+            swapped += 1
+    assert singular > 200 and swapped > 200
+    assert Matrix([]).det() == 1
+
+
+def test_det_refuses_ratfun_entries():
+    with pytest.raises(TypeError):
+        Matrix([[EPS, 0], [0, 1]]).det()
+
+
+def test_matrix_sum_and_difference_refuse_shape_mismatch():
+    a = Matrix([[1, 2]])
+    for b in (Matrix([[1]]), Matrix([[1, 2], [3, 4]])):
+        with pytest.raises(ValueError, match="shape mismatch in matrix sum"):
+            a + b
+        with pytest.raises(ValueError, match="shape mismatch in matrix difference"):
+            a - b
+    assert a + a == Matrix([[2, 4]]) and a - a == Matrix([[0, 0]])
 
 
 def test_snf_frozen_examples():
