@@ -11,9 +11,17 @@ the transfer map between overlapping group translates of the chart.
 
 Root elements, the Weyl representatives n_i and n_0 and the diagonal factors
 of ``ldu`` are applied as row and column operations, signed permutations and
-entrywise scalings (see ``chevalley``), never as dense products: f_i builds
-no matrix product at all, and Theta and the action multiply only pairs of
-general unitriangular matrices.
+entrywise scalings (see ``chevalley``), never as dense products.  A word of
+reflections is one sweep over mutable rows and one dict of chart values,
+with the per-letter data (root positions, the signed permutation of n_i,
+-alpha_i and, per cone, its exponents and the pairings <h, alpha_i^vee>)
+computed once; it builds one MixedPoint at the end.  Theta and the action
+multiply pairs of lower (upper) unitriangular matrices by
+``linalg.unitriangular_product``, which computes only the entries below
+(above) the diagonal; that leaves four general products per action, each an
+upper times a lower unitriangular matrix.  Over Q the action reads g2^{-1}
+off the split of g2 that its membership check already computes, with one
+more such product (``chevalley.split_inverse``).
 """
 
 from __future__ import annotations
@@ -24,8 +32,8 @@ from fractions import Fraction
 
 from .charts import (
     ChartPoint,
-    coweight_scale,
-    evaluate_character,
+    _as_scalar,
+    _power,
     identity_point,
     limit_point,
     specialize_at_zero,
@@ -36,13 +44,17 @@ from .charts import (
 from .chevalley import (
     NotInBigCell,
     Pinning,
+    _add_column,
+    _add_row,
+    _signed_rows,
     conjugate_diagonal,
     conjugate_signed,
     random_element,
     signed_permutation,
+    split_inverse,
 )
 from .cones import Cone, interior_cocharacter
-from .linalg import Matrix, _share
+from .linalg import Matrix, _share, dot, unitriangular_product
 from .ratfun import evaluate_at_zero
 from .rootdata import RootDatum
 
@@ -91,18 +103,21 @@ def _diagonal(d: Matrix):
     return entries, tuple(_share(1 / x) for x in entries)
 
 
-def _is_unitriangular(m: Matrix, lower: bool) -> bool:
-    n = m.nrows
-    if m.ncols != n:
-        return False
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                if m[i, j] != 1:
-                    return False
-            elif (j > i) == lower and m[i, j] != 0:
-                return False
+def _is_unitriangular(rows, lower: bool) -> bool:
+    """Whether the rows are square, lower (upper) triangular, with 1 on the diagonal."""
+    n = len(rows)
+    for i, row in enumerate(rows):
+        if len(row) != n or row[i] != 1 or any(row[i + 1:] if lower else row[:i]):
+            return False
     return True
+
+
+def _check_factors(u_minus, u_plus) -> None:
+    """Refuse rows of u^- or u^+ that are not unitriangular of their kind."""
+    if not _is_unitriangular(u_minus, lower=True):
+        raise ValueError("u_minus must be lower unitriangular")
+    if not _is_unitriangular(u_plus, lower=False):
+        raise ValueError("u_plus must be upper unitriangular")
 
 
 class MixedPoint:
@@ -111,10 +126,7 @@ class MixedPoint:
     __slots__ = ("u_minus", "chart", "u_plus")
 
     def __init__(self, u_minus: Matrix, chart: ChartPoint, u_plus: Matrix):
-        if not _is_unitriangular(u_minus, lower=True):
-            raise ValueError("u_minus must be lower unitriangular")
-        if not _is_unitriangular(u_plus, lower=False):
-            raise ValueError("u_plus must be upper unitriangular")
+        _check_factors(u_minus.rows, u_plus.rows)
         self.u_minus = u_minus
         self.chart = chart
         self.u_plus = u_plus
@@ -144,11 +156,30 @@ class Calculus:
 
     def __init__(self, rd: RootDatum):
         self.rd = rd
-        self.pinning = Pinning(rd)
+        self.pinning = pin = Pinning(rd)
         self.longest_word = rd.longest_word()
-        self.n0 = self.pinning.weyl_representative(self.longest_word)
+        self.n0 = pin.weyl_representative(self.longest_word)
         self._n0_signed = signed_permutation(self.n0)
         self._anchor_cache = {}
+        # per simple index: -alpha_i, the positions of -alpha_i and alpha_i,
+        # the signed permutation of n_i and the coroot alpha_i^vee
+        letters = []
+        for i in range(rd.rank):
+            a_i = rd.simple_root(i)
+            minus_a_i = tuple(-v for v in a_i)
+            letters.append(
+                (
+                    minus_a_i,
+                    pin.root_position(minus_a_i),
+                    pin.root_position(a_i),
+                    signed_permutation(pin.simple_reflection_element(i)),
+                    rd.simple_coroot(i),
+                )
+            )
+        self._letters = tuple(letters)
+        # per cone: for each simple index, None or the exponents of -alpha_i
+        # over the Hilbert basis and the nonzero pairings <h, alpha_i^vee>
+        self._cone_letters = {}
 
     # -- single reflections ----------------------------------------------------
 
@@ -161,34 +192,11 @@ class Calculus:
         x_{-alpha_i}(x) t x_{alpha_i}(y) between them is rewritten through the
         denominator D = (-alpha_i)(t) + x y, which must not vanish.
         """
-        rd, pin = self.rd, self.pinning
-        a_i = rd.simple_root(i)
-        minus_a_i = tuple(-v for v in a_i)
-        # a simple root's entry is its coordinate in every root order: no
-        # product of two or more root elements reaches the first off-diagonal
-        x = pin.coordinate_at(p.u_minus, minus_a_i)
-        y = pin.coordinate_at(p.u_plus, a_i)
-        d = evaluate_character(p.chart, minus_a_i) + x * y
-        if d == 0:
-            raise OutsideVi(
-                DomainReport(
-                    "reflect_simple",
-                    "(-alpha_i)(t) + x*y != 0",
-                    f"simple index {i}",
-                )
-            )
-        um = pin.conjugate_simple(i, pin.times_root(p.u_minus, minus_a_i, -x))
-        um = pin.times_root(um, minus_a_i, -y / d)
-        chart = coweight_scale(p.chart, rd.simple_coroot(i), d)
-        up = pin.conjugate_simple(i, pin.root_times(a_i, -y, p.u_plus))
-        up = pin.root_times(a_i, -x / d, up)
-        return MixedPoint(um, chart, up)
+        return self._sweep(p, (i,))
 
     def reflect_longest(self, p: MixedPoint) -> MixedPoint:
         """Composite conjugation along the longest element; rightmost letter first."""
-        for i in reversed(self.longest_word):
-            p = self.reflect_simple(p, i)
-        return p
+        return self._sweep(p, reversed(self.longest_word))
 
     def reflect_longest_inverse(self, p: MixedPoint) -> MixedPoint:
         """Inverse of reflect_longest: one reflection per letter, leftmost first.
@@ -200,9 +208,83 @@ class Calculus:
         central, so Ad(n_0) = Ad(n_0^{-1}).  The domain is the same too:
         f_i o f_i is defined wherever f_i is, its denominator being 1/D.
         """
-        for i in self.longest_word:
-            p = self.reflect_simple(p, i)
-        return p
+        return self._sweep(p, self.longest_word)
+
+    def _chart_letter(self, cone: Cone, table, i: int):
+        """The exponents of -alpha_i over the Hilbert basis and the pairings.
+
+        Only nonzero exponents and pairings are kept, in Hilbert-basis order;
+        a refused decomposition is not kept, so it is refused again.
+        """
+        found = table[i]
+        if found is None:
+            minus_a_i, _, _, _, coroot = self._letters[i]
+            exponents = tuple(
+                (h, c) for h, c in cone.monoid_decompose(minus_a_i).items() if c
+            )
+            pairings = tuple(
+                (h, k) for h in cone.hilbert_basis if (k := dot(h, coroot))
+            )
+            found = table[i] = (exponents, pairings)
+        return found
+
+    def _sweep(self, p: MixedPoint, word) -> MixedPoint:
+        """f_i for each letter i of word in turn, on mutable rows and values.
+
+        Each letter is reflect_simple: the same row and column operations,
+        the same index refusal and OutsideVi report, and u^- and u^+ are
+        checked to be unitriangular after every letter (the last one by
+        MixedPoint).  The chart values are scaled by D^<h, alpha_i^vee> in
+        place; a zero pairing leaves a value as it is, since chart values
+        are already scalars.
+        """
+        rd = self.rd
+        um, up = list(p.u_minus.rows), list(p.u_plus.rows)
+        cone = p.chart.cone
+        values = dict(p.chart.values)
+        table = self._cone_letters.get(cone)
+        if table is None:
+            table = self._cone_letters[cone] = [None] * rd.rank
+        for step, i in enumerate(word):
+            if step:
+                _check_factors(um, up)
+            rd._check_index(i)
+            _, (r, c), (ra, ca), perm, _ = self._letters[i]
+            exponents, pairings = self._chart_letter(cone, table, i)
+            # a simple root's entry is its coordinate in every root order: no
+            # product of two or more root elements reaches the first off-diagonal
+            x = um[r][c]
+            y = up[ra][ca]
+            chi = Fraction(1)
+            for h, e in exponents:
+                chi = chi * _power(values[h], e)
+            d = chi + x * y
+            if d == 0:
+                raise OutsideVi(
+                    DomainReport(
+                        "reflect_simple",
+                        "(-alpha_i)(t) + x*y != 0",
+                        f"simple index {i}",
+                    )
+                )
+            # u^- x_{-alpha_i}(-x), conjugated by n_i, times x_{-alpha_i}(-y/D)
+            if x:
+                _add_column(um, r, c, -x)
+            um = _signed_rows(perm, um)
+            if y:
+                _add_column(um, r, c, -y / d)
+            scalar = _as_scalar(d)
+            for h, k in pairings:
+                values[h] = _as_scalar(_power(scalar, k) * values[h])
+            # x_{alpha_i}(-x/D) times x_{alpha_i}(-y) u^+, conjugated by n_i
+            if y:
+                _add_row(up, ra, ca, -y)
+            up = _signed_rows(perm, up)
+            if x:
+                _add_row(up, ra, ca, -x / d)
+        return MixedPoint(
+            Matrix._of(tuple(um)), ChartPoint._trusted(cone, values), Matrix._of(tuple(up))
+        )
 
     def _ldu(self, g: Matrix, step: str, predicate: str):
         """pinning.ldu(g), with a NotInBigCell reported as leaving the domain."""
@@ -270,9 +352,17 @@ class Calculus:
         a = conjugate_signed(self._n0_signed, conjugate_diagonal(d1, d1_inv, r1))
         b = conjugate_signed(self._n0_signed, conjugate_diagonal(d2_inv, d2, l2))
         q2 = self.reflect_longest_inverse(
-            MixedPoint(a @ q.u_minus, q.chart, q.u_plus @ b)
+            MixedPoint(
+                unitriangular_product(a, q.u_minus, lower=True),
+                q.chart,
+                unitriangular_product(q.u_plus, b, lower=False),
+            )
         )
-        return MixedPoint(l1 @ q2.u_minus, q2.chart, q2.u_plus @ r2)
+        return MixedPoint(
+            unitriangular_product(l1, q2.u_minus, lower=True),
+            q2.chart,
+            unitriangular_product(q2.u_plus, r2, lower=False),
+        )
 
     def reorder_direct(self, u_plus: Matrix, chart: ChartPoint, u_minus: Matrix) -> MixedPoint:
         """Matrix-level reordering; defined only over the open torus orbit."""
@@ -288,10 +378,16 @@ class Calculus:
         """The rational action (g1, g2) . p = g1 p g2^{-1} computed chartwise."""
         pin = self.pinning
         u1m, d1g, u1p = self._ldu(g1, "act", "g1 in the big cell")
-        # only narrows the domain that the reports pin; whether act needs it
-        # is open (ROADMAP item 2)
-        self._ldu(g2, "act", "g2 in the big cell")
-        h2m, d2g, h2p = self._ldu(g2.inverse(), "act", "g2^{-1} in the big cell")
+        split = self._ldu(g2, "act", "g2 in the big cell")
+        # over Q the split of g2 also gives g2^{-1} = U^{-1} D^{-1} L^{-1};
+        # over Q(eps) Gauss-Jordan stays: which constant entries of its
+        # result are RatFun, a type the later factors inherit, follows its
+        # elimination order
+        if all(type(x) is Fraction for row in g2.rows for x in row):
+            g2_inv = split_inverse(*split)
+        else:
+            g2_inv = g2.inverse()
+        h2m, d2g, h2p = self._ldu(g2_inv, "act", "g2^{-1} in the big cell")
         l1, dd1, r1 = self._ldu(u1p @ p.u_minus, "act", "u1+ u- in the big cell")
         l2, dd2, r2 = self._ldu(p.u_plus @ h2m, "act", "u+ g2hat- in the big cell")
         (dd1, dd1_inv), (dd2, dd2_inv) = _diagonal(dd1), _diagonal(dd2)
@@ -304,11 +400,23 @@ class Calculus:
             mid,
             conjugate_diagonal(dd2_inv, dd2, l2),
         )
-        new_um = u1m @ conjugate_diagonal(d1g, d1g_inv, l1 @ r.u_minus)
+        new_um = unitriangular_product(
+            u1m,
+            conjugate_diagonal(
+                d1g, d1g_inv, unitriangular_product(l1, r.u_minus, lower=True)
+            ),
+            lower=True,
+        )
         new_chart = torus_translate(
             pin.diagonal_coordinates([x * y for x, y in zip(d1g, d2g)]), r.chart
         )
-        new_up = conjugate_diagonal(d2g_inv, d2g, r.u_plus @ r2) @ h2p
+        new_up = unitriangular_product(
+            conjugate_diagonal(
+                d2g_inv, d2g, unitriangular_product(r.u_plus, r2, lower=False)
+            ),
+            h2p,
+            lower=False,
+        )
         return MixedPoint(new_um, new_chart, new_up)
 
     def act_direct(self, g1: Matrix, p: MixedPoint, g2: Matrix) -> MixedPoint:

@@ -58,6 +58,8 @@ class InvalidChartValues(ValueError):
 
 
 def _as_scalar(x):
+    if type(x) is Fraction:
+        return x
     if isinstance(x, RatFun):
         return x.constant_value() if x.is_constant() else x
     if isinstance(x, (int, Fraction)):

@@ -25,7 +25,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import _SMALL, Matrix, _bareiss, _coerce_entry, _share
+from .linalg import (
+    _SMALL,
+    Matrix,
+    _bareiss,
+    _coerce_entry,
+    _share,
+    unitriangular_inverse,
+)
 from .ratfun import _cleared
 from .rootdata import RootDatum
 
@@ -37,6 +44,7 @@ __all__ = [
     "conjugate_signed",
     "random_element",
     "signed_permutation",
+    "split_inverse",
 ]
 
 
@@ -74,15 +82,12 @@ def signed_permutation(m: Matrix):
     return tuple(out)
 
 
-def conjugate_signed(perm, g: Matrix) -> Matrix:
-    """n g n^{-1} for the signed permutation n read by signed_permutation.
+def _signed_rows(perm, rows):
+    """The rows of n g n^{-1} for the signed permutation n and the rows of g.
 
     n has entry s_a at (a, pi(a)) and n^{-1} is its transpose, so entry
     (a, b) of the conjugate is s_a s_b g[pi(a), pi(b)].
     """
-    rows = g.rows
-    if len(rows) != len(perm) or g.ncols != len(perm):
-        raise ValueError("shape mismatch in Weyl conjugation")
     out = []
     for pa, sa in perm:
         row = rows[pa]
@@ -92,7 +97,31 @@ def conjugate_signed(perm, g: Matrix) -> Matrix:
                 for pb, sb in perm
             )
         )
-    return Matrix._of(tuple(out))
+    return out
+
+
+def _add_column(rows, src, dst, c):
+    """In a list of row tuples, column dst gains c times column src.
+
+    c must be nonzero; rows whose src entry is zero are left as they are.
+    """
+    for k, row in enumerate(rows):
+        if row[src]:
+            row = list(row)
+            row[dst] = _plus_times(row[dst], row[src], c)
+            rows[k] = tuple(row)
+
+
+def _add_row(rows, dst, src, c):
+    """In a list of row tuples, row dst gains c times row src; c nonzero."""
+    rows[dst] = tuple(_plus_times(a, b, c) for a, b in zip(rows[dst], rows[src]))
+
+
+def conjugate_signed(perm, g: Matrix) -> Matrix:
+    """n g n^{-1} for the signed permutation n read by signed_permutation."""
+    if g.nrows != len(perm) or g.ncols != len(perm):
+        raise ValueError("shape mismatch in Weyl conjugation")
+    return Matrix._of(tuple(_signed_rows(perm, g.rows)))
 
 
 def conjugate_diagonal(d, d_inv, g: Matrix) -> Matrix:
@@ -121,7 +150,8 @@ def _ldu_rational(rows):
     Row i is cleared of denominators by the lcm s_i of its denominators and
     eliminated by ``linalg._bareiss``.  While step k pivots at (k, k) no row
     was swapped, so the pivot p_k is the (k+1)-th leading principal minor;
-    the first step that does not, or is missing, names a vanishing one.
+    the first step that does not, or is missing, names a vanishing one, and
+    the elimination stops there.
     Each output entry is then one Fraction: L[i][k] = a_ik s_k / (p_k s_i),
     D_k = p_k / (p_{k-1} s_k) and U[k][j] = a_kj / p_k, with a the integer
     entries left by the elimination.
@@ -130,9 +160,10 @@ def _ldu_rational(rows):
     cleared = [_cleared(row) for row in rows]
     a = [ints for ints, _ in cleared]
     scale = [s for _, s in cleared]
-    steps = _bareiss(a)
     k = 0
-    while k < len(steps) and steps[k] == (k, k):
+    for step in _bareiss(a):
+        if step != (k, k):
+            break
         k += 1
     if k < n:
         raise NotInBigCell(f"leading principal minor {k + 1} vanishes")
@@ -162,6 +193,24 @@ def _ldu_rational(rows):
         )
         prev = p
     return Matrix._of(tuple(lower)), Matrix._of(tuple(diag)), Matrix._of(tuple(upper))
+
+
+def split_inverse(lower: Matrix, diag: Matrix, upper: Matrix) -> Matrix:
+    """(L D U)^{-1} = U^{-1} D^{-1} L^{-1}, from the factors of ``Pinning.ldu``.
+
+    The unitriangular factors are inverted by substitution and D^{-1} scales
+    the rows of L^{-1}, so the one general product is the last.
+    """
+    scaled = Matrix._of(
+        tuple(
+            tuple(_share(x / dk) if x else x for x in row)
+            for row, dk in zip(
+                unitriangular_inverse(lower, lower=True).rows,
+                (diag.rows[k][k] for k in range(diag.nrows)),
+            )
+        )
+    )
+    return unitriangular_inverse(upper, lower=False) @ scaled
 
 
 def _is_type_a(rd: RootDatum) -> bool:
@@ -239,13 +288,8 @@ class Pinning:
         if not c:
             return g
         i, j = self._pos[tuple(beta)]
-        rows = []
-        for row in g.rows:
-            if row[i]:
-                row = list(row)
-                row[j] = _plus_times(row[j], row[i], c)
-                row = tuple(row)
-            rows.append(row)
+        rows = list(g.rows)
+        _add_column(rows, i, j, c)
         return Matrix._of(tuple(rows))
 
     def root_times(self, beta, c, g: Matrix) -> Matrix:
@@ -257,7 +301,7 @@ class Pinning:
             return g
         i, j = self._pos[tuple(beta)]
         rows = list(g.rows)
-        rows[i] = tuple(_plus_times(a, b, c) for a, b in zip(rows[i], rows[j]))
+        _add_row(rows, i, j, c)
         return Matrix._of(tuple(rows))
 
     def conjugate_simple(self, i: int, g: Matrix) -> Matrix:

@@ -14,6 +14,8 @@ which need reduced rows rather than pivots.  ``Pinning.ldu`` splits a
 ``RatFun`` matrix by division, since Bareiss over Z[eps] would need an exact
 polynomial division per entry and step.  ``smith_normal_form`` uses
 unimodular operations only, so it keeps the lattice.
+``unitriangular_product`` and ``unitriangular_inverse`` compute only the
+triangle of a unitriangular result that can be nonzero.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ __all__ = [
     "integer_kernel",
     "integer_rank",
     "integer_inverse",
+    "unitriangular_inverse",
+    "unitriangular_product",
 ]
 
 
@@ -199,7 +203,7 @@ class Matrix:
             raise TypeError("determinant of a matrix with non-rational entries")
         cleared = [_cleared(r) for r in self.rows]
         a = [ints for ints, _ in cleared]
-        steps = _bareiss(a)
+        steps = list(_bareiss(a))
         if len(steps) < self.nrows:
             return Fraction(0)
         swaps = sum(row != k for k, (row, _) in enumerate(steps))
@@ -217,6 +221,59 @@ class Matrix:
         if len(_gauss_jordan(rows, n)) < n:
             raise ZeroDivisionError("matrix is singular")
         return Matrix([r[n:] for r in rows])
+
+
+def unitriangular_product(a: Matrix, b: Matrix, lower: bool) -> Matrix:
+    """a @ b for two lower (``lower``) or two upper unitriangular matrices.
+
+    The product is unitriangular of the same kind, so only the entries on
+    and below (above) the diagonal are computed, each over the terms k
+    between its row and column, the only ones where a[i][k] and b[k][j] can
+    both be nonzero.  Each is the same ``_entry_dot`` as in ``a @ b``.
+    """
+    n = a.nrows
+    if a.ncols != n or b.nrows != n or b.ncols != n:
+        raise ValueError("shape mismatch in matrix product")
+    zero = _SMALL[64]
+    cols = tuple(zip(*b.rows))
+    if lower:
+        rows = (
+            tuple(_entry_dot(r[j:i + 1], cols[j][j:i + 1]) for j in range(i + 1))
+            + (zero,) * (n - 1 - i)
+            for i, r in enumerate(a.rows)
+        )
+    else:
+        rows = (
+            (zero,) * i
+            + tuple(_entry_dot(r[i:j + 1], cols[j][i:j + 1]) for j in range(i, n))
+            for i, r in enumerate(a.rows)
+        )
+    return Matrix._of(tuple(rows))
+
+
+def unitriangular_inverse(m: Matrix, lower: bool) -> Matrix:
+    """Inverse of a lower (``lower``) or upper unitriangular matrix.
+
+    Forward substitution: row i of the inverse X of a lower L has
+    X[i][j] = -sum_{j <= k < i} L[i][k] X[k][j] left of its diagonal 1.  An
+    upper matrix is inverted through its transpose.
+    """
+    n = m.nrows
+    if m.ncols != n:
+        raise ValueError("inverse of a non-square matrix")
+    src = m.rows if lower else tuple(zip(*m.rows))
+    zero, one = _SMALL[64], _SMALL[65]
+    out = []
+    for i, r in enumerate(src):
+        out.append(
+            tuple(
+                _share(-_entry_dot(r[j:i], [out[k][j] for k in range(j, i)]))
+                for j in range(i)
+            )
+            + (one,)
+            + (zero,) * (n - 1 - i)
+        )
+    return Matrix._of(tuple(out) if lower else tuple(zip(*out)))
 
 
 def _gauss_jordan(rows, ncols):
@@ -350,14 +407,16 @@ def _bareiss(a):
     first).  Every entry so made is a minor
     of the swapped rows, so the division is exact and the k-th pivot is the
     minor on the first k pivot rows and columns (Bareiss, Math. Comp. 22,
-    1968).  Returns one ``(row swapped up, column)`` pair per pivot.
+    1968).  Yields one ``(row swapped up, column)`` pair per pivot, after the
+    swap and before the rows below are eliminated, so a caller that stops
+    early skips the rest of the work; a is fully eliminated once the
+    generator is exhausted.
     """
     nrows = len(a)
     ncols = len(a[0]) if a else 0
-    steps = []
+    row = 0
     prev = 1
     for col in range(ncols):
-        row = len(steps)
         if row == nrows:
             break
         piv = row
@@ -366,6 +425,7 @@ def _bareiss(a):
         if piv == nrows:
             continue
         a[row], a[piv] = a[piv], a[row]
+        yield piv, col
         prow = a[row]
         p = prow[col]
         for i in range(row + 1, nrows):
@@ -374,8 +434,7 @@ def _bareiss(a):
             for j in range(col + 1, ncols):
                 ai[j] = (ai[j] * p - f * prow[j]) // prev
         prev = p
-        steps.append((piv, col))
-    return steps
+        row += 1
 
 
 def _int_rank(rows) -> int:
@@ -390,7 +449,7 @@ def _int_rank(rows) -> int:
     ncols = len(a[0]) if a else 0
     if any(len(r) != ncols for r in a):
         raise ValueError("ragged rows")
-    return len(_bareiss(a))
+    return sum(1 for _ in _bareiss(a))
 
 
 def integer_rank(m: Matrix) -> int:

@@ -141,6 +141,48 @@ def test_reflect_simple_matches_coordinate_oracle(reflect_simple_by_coordinates)
     assert agreed > 100 and refused > 20
 
 
+def test_sweep_matches_coordinate_oracle_letter_by_letter(reflect_simple_by_coordinates):
+    # reflect_longest and reflect_longest_inverse sweep the longest word in
+    # opposite letter orders; each must equal the coordinate oracle applied
+    # one letter at a time, and refuse with the report of the letter at
+    # which the oracle leaves the domain
+    rng = random.Random(66)
+    agreed = refused = 0
+    for rank, fields, copies in ((1, (False, True), 6), (2, (False, True), 3), (3, (False,), 3)):
+        calc = Calculus(RootDatum.of_type("A", rank))
+        charts = []
+        for cone in chamber_cones(calc.rd):
+            for face in cone.faces():
+                delta = (0,) * rank if face.is_zero() else interior_cocharacter(face)
+                charts.append(limit_point(delta, cone))
+        sweeps = (
+            (calc.reflect_longest, tuple(reversed(calc.longest_word))),
+            (calc.reflect_longest_inverse, calc.longest_word),
+        )
+        for eps in fields:
+            for chart in charts * copies:
+                p = _oracle_point(calc, rng, chart, eps)
+                for sweep, word in sweeps:
+                    want, report = p, None
+                    for i in word:
+                        try:
+                            want = reflect_simple_by_coordinates(calc, want, i)
+                        except OutsideVi as e:
+                            assert e.report.detail == f"simple index {i}"
+                            report = e.report
+                            break
+                    if report is None:
+                        got = sweep(p)
+                        assert got == want and repr(got) == repr(want)
+                        agreed += 1
+                    else:
+                        with pytest.raises(OutsideVi) as info:
+                            sweep(p)
+                        assert info.value.report == report
+                        refused += 1
+    assert agreed > 250 and refused > 250, (agreed, refused)
+
+
 def _scalars(rng):
     """0, +-1, random Fractions and a + b*eps (b may be 0, a constant RatFun)."""
     out = [Fraction(0), Fraction(1), Fraction(-1)]
@@ -432,6 +474,30 @@ def test_act_matches_direct_on_torus():
                 continue
             assert r1 == r2
             done += 1
+
+
+def test_act_inverts_g2_through_its_split_over_q(monkeypatch):
+    calls = []
+    inverse = Matrix.inverse
+
+    def counted(self):
+        calls.append(self)
+        return inverse(self)
+
+    rng = random.Random(15)
+    p = torus_mixed(CALC2, rng)
+    g1, g2 = CALC2.pinning.identity(), random_element(CALC2.pinning, rng)
+    want = CALC2.act_direct(g1, p, g2)
+    CALC2.anchors(p.chart.cone)  # inverts its base point once per cone
+    monkeypatch.setattr(Matrix, "inverse", counted)
+    assert CALC2.act(g1, p, g2) == want
+    assert calls == []
+    # over Q(eps) Gauss-Jordan inverts g2, as before
+    g2 = CALC2.pinning.unipotent_product(
+        CALC2.pinning.positive_order, [1 + EPS, Fraction(2), -EPS]
+    )
+    CALC2.act(g1, p, g2)
+    assert calls == [g2]
 
 
 def test_act_outside_domain_reports_step():

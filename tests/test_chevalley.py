@@ -9,8 +9,10 @@ from toroidal.chevalley import (
     Pinning,
     random_element,
     signed_permutation,
+    split_inverse,
 )
 from toroidal.linalg import Matrix
+from toroidal.ratfun import EPS
 from toroidal.rootdata import RootDatum
 
 
@@ -205,6 +207,37 @@ def test_fraction_free_ldu_matches_division(ldu_by_division):
         else:
             outside += 1
     assert inside > 2500 and outside > 2500
+
+
+def test_split_inverse_matches_gauss_jordan():
+    # over Q the entry types match too, so Pinning.ldu of the inverse takes
+    # the same fraction-free branch as it does on Matrix.inverse()
+    pins = {n: pinning(n - 1) for n in range(2, 6)}
+    rng = random.Random(4471)
+    done = {False: 0, True: 0}
+    while min(done.values()) < 600:
+        n = rng.randint(2, 5)
+        eps = done[False] >= 600
+        if eps:
+            g = _seeded_fraction_matrix(rng, n).map(
+                lambda x: x + EPS * rng.randint(-1, 1) if rng.random() < 0.4 else x
+            )
+        elif rng.random() < 0.5:
+            g = random_element(pins[n], rng)
+        else:
+            g = _seeded_fraction_matrix(rng, n)
+        try:
+            split = pins[n].ldu(g)
+        except NotInBigCell:
+            continue
+        got, want = split_inverse(*split), g.inverse()
+        assert got == want and repr(got) == repr(want), g
+        if not eps:
+            assert [[type(x) for x in r] for r in got.rows] == [
+                [type(x) for x in r] for r in want.rows
+            ], g
+            assert all(type(x) is Fraction for r in got.rows for x in r)
+        done[eps] += 1
 
 
 @pytest.mark.parametrize(

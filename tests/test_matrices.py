@@ -15,6 +15,8 @@ from toroidal.linalg import (
     integer_rank,
     primitive_vector,
     smith_normal_form,
+    unitriangular_inverse,
+    unitriangular_product,
 )
 from toroidal.ratfun import EPS
 
@@ -97,6 +99,62 @@ def test_det_matches_elimination(det_by_elimination):
             swapped += 1
     assert singular > 200 and swapped > 200
     assert Matrix([]).det() == 1
+
+
+def _unitriangular(rng, n, lower, pool):
+    """A random lower (upper) unitriangular matrix with entries from pool."""
+    return Matrix(
+        [
+            [
+                1 if i == j else rng.choice(pool) if (i > j) == lower else 0
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+    )
+
+
+def _entry_types(m: Matrix):
+    return [[type(x) for x in row] for row in m.rows]
+
+
+@pytest.mark.parametrize("eps", [False, True])
+def test_unitriangular_product_and_inverse_match_dense(eps):
+    # small pools, so that sums cancel to zero now and then; over Q(eps)
+    # some entries are constant RatFuns (a + 0*eps)
+    rng = random.Random(31 + eps)
+    pool = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2)]
+    if eps:
+        pool += [Fraction(a) + EPS * b for a in (-1, 0, 1) for b in (-1, 0, 1)]
+    pairs = cancelled = 0
+    for _ in range(2000):
+        n = rng.randint(2, 4)
+        lower = rng.random() < 0.5
+        a = _unitriangular(rng, n, lower, pool)
+        b = _unitriangular(rng, n, lower, pool)
+        want = a @ b
+        got = unitriangular_product(a, b, lower=lower)
+        assert got == want and repr(got) == repr(want), (a, b)
+        assert _entry_types(got) == _entry_types(want), (a, b)
+        pairs += 1
+        cancelled += any(
+            not x and (i > j) == lower and any(a[i, k] and b[k, j] for k in range(n))
+            for i, row in enumerate(got.rows)
+            for j, x in enumerate(row)
+        )
+        inv = unitriangular_inverse(a, lower=lower)
+        assert unitriangular_product(a, inv, lower=lower) == Matrix.identity(n)
+        assert inv == a.inverse() and repr(inv) == repr(a.inverse()), a
+        if not eps:
+            assert _entry_types(inv) == _entry_types(a.inverse()), a
+    assert pairs == 2000 and cancelled > 50
+
+
+def test_unitriangular_product_refuses_shape_mismatch():
+    with pytest.raises(ValueError, match="shape mismatch"):
+        unitriangular_product(Matrix.identity(2), Matrix.identity(3), lower=True)
+    with pytest.raises(ValueError, match="non-square"):
+        unitriangular_inverse(Matrix([[1, 0]]), lower=True)
 
 
 def test_det_refuses_ratfun_entries():
