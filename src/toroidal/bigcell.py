@@ -13,15 +13,15 @@ Root elements, the Weyl representatives n_i and n_0 and the diagonal factors
 of ``ldu`` are applied as row and column operations, signed permutations and
 entrywise scalings (see ``chevalley``), never as dense products.  A word of
 reflections is one sweep over mutable rows and one dict of chart values,
-with the per-letter data (root positions, the signed permutation of n_i,
--alpha_i and, per cone, its exponents and the pairings <h, alpha_i^vee>)
-computed once; it builds one MixedPoint at the end.  Theta and the action
-multiply pairs of lower (upper) unitriangular matrices by
-``linalg.unitriangular_product``, which computes only the entries below
-(above) the diagonal; that leaves four general products per action, each an
-upper times a lower unitriangular matrix.  Over Q the action reads g2^{-1}
-off the split of g2 that its membership check already computes, with one
-more such product (``chevalley.split_inverse``).
+with the per-letter data (root positions, the signed permutation of n_i and
+-alpha_i) computed once; the exponents of -alpha_i come from the cone's
+memoized monoid decomposition, and the sweep builds one MixedPoint at the
+end.  Theta and the action multiply pairs of lower (upper) unitriangular
+matrices by ``linalg.unitriangular_product``, which computes only the
+entries below (above) the diagonal; that leaves four general products per
+action, each an upper times a lower unitriangular matrix.  The action reads
+g2^{-1} off the split of g2 that its membership check already computes,
+with one more such product (``chevalley.split_inverse``).
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from fractions import Fraction
 from .charts import (
     ChartPoint,
     _as_scalar,
+    _monomial,
     _power,
     identity_point,
     limit_point,
@@ -54,7 +55,7 @@ from .chevalley import (
     split_inverse,
 )
 from .cones import Cone, interior_cocharacter
-from .linalg import Matrix, _share, dot, unitriangular_product
+from .linalg import Matrix, _share, unitriangular_product
 from .ratfun import evaluate_at_zero
 from .rootdata import RootDatum
 
@@ -161,8 +162,8 @@ class Calculus:
         self.n0 = pin.weyl_representative(self.longest_word)
         self._n0_signed = signed_permutation(self.n0)
         self._anchor_cache = {}
-        # per simple index: -alpha_i, the positions of -alpha_i and alpha_i,
-        # the signed permutation of n_i and the coroot alpha_i^vee
+        # per simple index: -alpha_i, the positions of -alpha_i and alpha_i
+        # and the signed permutation of n_i
         letters = []
         for i in range(rd.rank):
             a_i = rd.simple_root(i)
@@ -172,14 +173,10 @@ class Calculus:
                     minus_a_i,
                     pin.root_position(minus_a_i),
                     pin.root_position(a_i),
-                    signed_permutation(pin.simple_reflection_element(i)),
-                    rd.simple_coroot(i),
+                    pin._n_signed[i],
                 )
             )
         self._letters = tuple(letters)
-        # per cone: for each simple index, None or the exponents of -alpha_i
-        # over the Hilbert basis and the nonzero pairings <h, alpha_i^vee>
-        self._cone_letters = {}
 
     # -- single reflections ----------------------------------------------------
 
@@ -210,24 +207,6 @@ class Calculus:
         """
         return self._sweep(p, self.longest_word)
 
-    def _chart_letter(self, cone: Cone, table, i: int):
-        """The exponents of -alpha_i over the Hilbert basis and the pairings.
-
-        Only nonzero exponents and pairings are kept, in Hilbert-basis order;
-        a refused decomposition is not kept, so it is refused again.
-        """
-        found = table[i]
-        if found is None:
-            minus_a_i, _, _, _, coroot = self._letters[i]
-            exponents = tuple(
-                (h, c) for h, c in cone.monoid_decompose(minus_a_i).items() if c
-            )
-            pairings = tuple(
-                (h, k) for h in cone.hilbert_basis if (k := dot(h, coroot))
-            )
-            found = table[i] = (exponents, pairings)
-        return found
-
     def _sweep(self, p: MixedPoint, word) -> MixedPoint:
         """f_i for each letter i of word in turn, on mutable rows and values.
 
@@ -242,22 +221,16 @@ class Calculus:
         um, up = list(p.u_minus.rows), list(p.u_plus.rows)
         cone = p.chart.cone
         values = dict(p.chart.values)
-        table = self._cone_letters.get(cone)
-        if table is None:
-            table = self._cone_letters[cone] = [None] * rd.rank
         for step, i in enumerate(word):
             if step:
                 _check_factors(um, up)
             rd._check_index(i)
-            _, (r, c), (ra, ca), perm, _ = self._letters[i]
-            exponents, pairings = self._chart_letter(cone, table, i)
+            minus_a_i, (r, c), (ra, ca), perm = self._letters[i]
             # a simple root's entry is its coordinate in every root order: no
             # product of two or more root elements reaches the first off-diagonal
             x = um[r][c]
             y = up[ra][ca]
-            chi = Fraction(1)
-            for h, e in exponents:
-                chi = chi * _power(values[h], e)
+            chi = _monomial(values, cone.monoid_decompose(minus_a_i).items())
             d = chi + x * y
             if d == 0:
                 raise OutsideVi(
@@ -274,8 +247,10 @@ class Calculus:
             if y:
                 _add_column(um, r, c, -y / d)
             scalar = _as_scalar(d)
-            for h, k in pairings:
-                values[h] = _as_scalar(_power(scalar, k) * values[h])
+            # the simple coroot alpha_i^vee is the i-th unit vector
+            for h, v in values.items():
+                if h[i]:
+                    values[h] = _as_scalar(_power(scalar, h[i]) * v)
             # x_{alpha_i}(-x/D) times x_{alpha_i}(-y) u^+, conjugated by n_i
             if y:
                 _add_row(up, ra, ca, -y)
@@ -378,15 +353,8 @@ class Calculus:
         """The rational action (g1, g2) . p = g1 p g2^{-1} computed chartwise."""
         pin = self.pinning
         u1m, d1g, u1p = self._ldu(g1, "act", "g1 in the big cell")
-        split = self._ldu(g2, "act", "g2 in the big cell")
-        # over Q the split of g2 also gives g2^{-1} = U^{-1} D^{-1} L^{-1};
-        # over Q(eps) Gauss-Jordan stays: which constant entries of its
-        # result are RatFun, a type the later factors inherit, follows its
-        # elimination order
-        if all(type(x) is Fraction for row in g2.rows for x in row):
-            g2_inv = split_inverse(*split)
-        else:
-            g2_inv = g2.inverse()
+        # the split of g2 also gives g2^{-1} = U^{-1} D^{-1} L^{-1}
+        g2_inv = split_inverse(*self._ldu(g2, "act", "g2 in the big cell"))
         h2m, d2g, h2p = self._ldu(g2_inv, "act", "g2^{-1} in the big cell")
         l1, dd1, r1 = self._ldu(u1p @ p.u_minus, "act", "u1+ u- in the big cell")
         l2, dd2, r2 = self._ldu(p.u_plus @ h2m, "act", "u+ g2hat- in the big cell")

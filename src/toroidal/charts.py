@@ -77,6 +77,15 @@ def _power(base, k: int):
     return base ** k
 
 
+def _monomial(values, exponents):
+    """The product of values[h] ** e over the pairs (h, e) (0^0 = 1)."""
+    out = Fraction(1)
+    for h, e in exponents:
+        if e:
+            out = out * _power(values[h], e)
+    return out
+
+
 class ChartPoint:
     """A point of the affine chart of a cone over Q or Q(eps)."""
 
@@ -102,7 +111,7 @@ class ChartPoint:
         for k in integer_kernel(Matrix(support).transpose()):
             left = [(h, e) for h, e in zip(support, k) if e > 0]
             right = [(h, -e) for h, e in zip(support, k) if e < 0]
-            if self._monomial(left) != self._monomial(right):
+            if _monomial(vals, left) != _monomial(vals, right):
                 raise InvalidChartValues(f"relation violated: {left} vs {right}")
 
     @classmethod
@@ -111,13 +120,6 @@ class ChartPoint:
         p.cone = cone
         p.values = {tuple(h): _as_scalar(v) for h, v in values.items()}
         return p
-
-    def _monomial(self, exponents):
-        out = Fraction(1)
-        for h, e in exponents:
-            if e:
-                out = out * _power(self.values[h], e)
-        return out
 
     @property
     def field(self) -> str:
@@ -181,12 +183,7 @@ def limit_point(delta, cone: Cone) -> ChartPoint:
 
 def evaluate_character(p: ChartPoint, m):
     """Value of a dual-monoid element at the point (0^0 = 1)."""
-    coeffs = p.cone.monoid_decompose(m)
-    out = Fraction(1)
-    for h, c in coeffs.items():
-        if c:
-            out = out * _power(p.values[h], c)
-    return out
+    return _monomial(p.values, p.cone.monoid_decompose(m).items())
 
 
 def torus_translate(t_coords, p: ChartPoint) -> ChartPoint:

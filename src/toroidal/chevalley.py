@@ -9,7 +9,8 @@ The factors the big-cell calculus multiplies by have fixed shapes, and each
 is applied without a dense product:
 
 - a root element: ``g @ x_beta(c)`` is one column operation
-  (``times_root``) and ``x_beta(c) @ g`` one row operation (``root_times``);
+  (``times_root``) and ``x_beta(c) @ g`` one row operation (``_add_row``,
+  which the big-cell sweep applies to rows in place);
   ``unipotent_product`` is a sequence of column operations;
 - a Weyl representative n is a signed permutation (Steinberg, *Lectures on
   Chevalley Groups*, 1967, section 3), read once off its matrix by
@@ -290,18 +291,6 @@ class Pinning:
         i, j = self._pos[tuple(beta)]
         rows = list(g.rows)
         _add_column(rows, i, j, c)
-        return Matrix._of(tuple(rows))
-
-    def root_times(self, beta, c, g: Matrix) -> Matrix:
-        """x_beta(c) @ g: row i of g gains c times row j, (i, j) = position."""
-        c = _coerce_entry(c)
-        if g.nrows != self.n or g.ncols != self.n:
-            raise ValueError("shape mismatch in matrix product")
-        if not c:
-            return g
-        i, j = self._pos[tuple(beta)]
-        rows = list(g.rows)
-        _add_row(rows, i, j, c)
         return Matrix._of(tuple(rows))
 
     def conjugate_simple(self, i: int, g: Matrix) -> Matrix:

@@ -213,7 +213,6 @@ def test_structured_factors_match_dense_products(rank, reflect_simple_by_product
             for c in _scalars(rng):
                 x = pin.root_element(beta, c)
                 _same(pin.times_root(g, beta, c), g @ x)
-                _same(pin.root_times(beta, c, g), x @ g)
         for i in range(rank):
             n = pin.simple_reflection_element(i)
             _same(pin.conjugate_simple(i, g), n @ g @ n.inverse())
@@ -476,7 +475,7 @@ def test_act_matches_direct_on_torus():
             done += 1
 
 
-def test_act_inverts_g2_through_its_split_over_q(monkeypatch):
+def test_act_inverts_g2_through_its_split(monkeypatch):
     calls = []
     inverse = Matrix.inverse
 
@@ -492,12 +491,6 @@ def test_act_inverts_g2_through_its_split_over_q(monkeypatch):
     monkeypatch.setattr(Matrix, "inverse", counted)
     assert CALC2.act(g1, p, g2) == want
     assert calls == []
-    # over Q(eps) Gauss-Jordan inverts g2, as before
-    g2 = CALC2.pinning.unipotent_product(
-        CALC2.pinning.positive_order, [1 + EPS, Fraction(2), -EPS]
-    )
-    CALC2.act(g1, p, g2)
-    assert calls == [g2]
 
 
 def test_act_outside_domain_reports_step():

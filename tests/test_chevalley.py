@@ -385,7 +385,6 @@ def test_row_and_column_operations_refuse_unsupported_scalars(bad):
     calls = [
         lambda: pin.root_element(beta, bad),
         lambda: pin.times_root(g, beta, bad),
-        lambda: pin.root_times(beta, bad, g),
         lambda: pin.unipotent_product(pin.positive_order, [Fraction(1), bad, Fraction(2)]),
     ]
     for call in calls:
