@@ -55,7 +55,7 @@ from .chevalley import (
     split_inverse,
 )
 from .cones import Cone, interior_cocharacter
-from .linalg import Matrix, _share, unitriangular_product
+from .linalg import Matrix, _share, unitriangular_inverse, unitriangular_product
 from .ratfun import evaluate_at_zero
 from .rootdata import RootDatum
 
@@ -300,7 +300,12 @@ class Calculus:
                 continue
             if r != MixedPoint(um, chart, up):
                 raise RuntimeError("conjugation round trip must be exact")
-            found = (um, um.inverse(), up, up.inverse())
+            found = (
+                um,
+                unitriangular_inverse(um, lower=True),
+                up,
+                unitriangular_inverse(up, lower=False),
+            )
             self._anchor_cache[cone] = found
             return found
         raise OutsideDomain(

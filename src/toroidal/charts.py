@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cones import Cone, NotInMonoid, interior_cocharacter
-from .linalg import Matrix, dot, integer_kernel
+from .linalg import Matrix, _all_fractions, _rational, dot, integer_kernel
 from .ratfun import RatFun, evaluate_at_zero
 
 __all__ = [
@@ -78,11 +78,24 @@ def _power(base, k: int):
 
 
 def _monomial(values, exponents):
-    """The product of values[h] ** e over the pairs (h, e) (0^0 = 1)."""
-    out = Fraction(1)
-    for h, e in exponents:
-        if e:
-            out = out * _power(values[h], e)
+    """The product of values[h] ** e over the pairs (h, e) (0^0 = 1).
+
+    A zero value with a negative exponent raises ZeroScalar; otherwise a zero
+    value with a positive exponent makes the product zero, with no power of
+    the other values taken.  That zero is a RatFun when one of the factors
+    is, as the product would be.
+    """
+    factors = [(values[h], e) for h, e in exponents if e]
+    for v, _ in factors:
+        if not v:
+            if any(e < 0 for v, e in factors if not v):
+                raise ZeroScalar("zero cannot be raised to a negative power")
+            return RatFun(0) if any(isinstance(v, RatFun) for v, _ in factors) else Fraction(0)
+    if not factors:
+        return Fraction(1)
+    out = factors[0][0] ** factors[0][1]
+    for v, e in factors[1:]:
+        out = out * v ** e
     return out
 
 
@@ -187,9 +200,27 @@ def evaluate_character(p: ChartPoint, m):
 
 
 def torus_translate(t_coords, p: ChartPoint) -> ChartPoint:
+    """The point t . p: the value at h is multiplied by h(t).
+
+    Over Q, each new value is one Fraction built from the numerators and
+    denominators of t and of the old value.
+    """
     t_coords = [_as_scalar(c) for c in t_coords]
     if any(c == 0 for c in t_coords):
         raise ZeroCoordinate("translation by a non-invertible point")
+    if _all_fractions((t_coords, p.values.values())):
+        t = [(c.numerator, c.denominator) for c in t_coords]
+        values = {}
+        for h, v in p.values.items():
+            n, d = v.numerator, v.denominator
+            if n:
+                for (cn, cd), e in zip(t, h):
+                    if e > 0:
+                        n, d = n * cn ** e, d * cd ** e
+                    elif e < 0:
+                        n, d = n * cd ** -e, d * cn ** -e
+            values[h] = _rational(n, d)
+        return ChartPoint._trusted(p.cone, values)
     values = {
         h: _character_value(t_coords, h) * v for h, v in p.values.items()
     }

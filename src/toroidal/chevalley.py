@@ -20,6 +20,14 @@ is applied without a dense product:
   d_a / d_b (``conjugate_diagonal``), and ``diagonal_coordinates`` reads
   torus coordinates off diagonal entries, so a product of diagonals is
   entrywise.
+
+Over Q these operations compute on Python ints.  ``_plus_times`` (behind
+the row and column operations), ``conjugate_diagonal`` and the row scaling
+of ``split_inverse`` test their operands once for being Fractions, read
+their numerators and denominators, and build one Fraction per output entry
+with ``linalg._rational``; a ``RatFun`` operand takes the Fraction-generic
+code, the only Q(eps) path.  ``_ldu_rational`` splits cleared integer rows by
+``linalg._bareiss`` and refuses a vanishing first pivot before clearing any.
 """
 
 from __future__ import annotations
@@ -29,8 +37,10 @@ from fractions import Fraction
 from .linalg import (
     _SMALL,
     Matrix,
+    _all_fractions,
     _bareiss,
     _coerce_entry,
+    _rational,
     _share,
     unitriangular_inverse,
 )
@@ -58,9 +68,15 @@ class NotSingleRootImage(ValueError):
 
 
 def _plus_times(a, b, c):
-    """a + b * c, with no arithmetic on a zero term."""
+    """a + b * c, with no arithmetic on a zero term; on ints over Q."""
     if not b:
         return a
+    if type(a) is Fraction and type(b) is Fraction and type(c) is Fraction:
+        n, d = b.numerator * c.numerator, b.denominator * c.denominator
+        if a:
+            ad = a.denominator
+            n, d = a.numerator * d + n * ad, d * ad
+        return _rational(n, d)
     t = b * c
     return _share(a + t if a else t)
 
@@ -134,6 +150,21 @@ def conjugate_diagonal(d, d_inv, g: Matrix) -> Matrix:
     n = len(d)
     if g.nrows != n or g.ncols != n or len(d_inv) != n:
         raise ValueError("shape mismatch in diagonal conjugation")
+    if _all_fractions((d, d_inv), g.rows):
+        # x d[a] d_inv[b] as one Fraction from the numerators and denominators
+        return Matrix._of(
+            tuple(
+                tuple(
+                    _rational(
+                        x.numerator * da.numerator * d_inv[b].numerator,
+                        x.denominator * da.denominator * d_inv[b].denominator,
+                    )
+                    if x and a != b else x
+                    for b, x in enumerate(row)
+                )
+                for a, (row, da) in enumerate(zip(g.rows, d))
+            )
+        )
     return Matrix._of(
         tuple(
             tuple(
@@ -158,6 +189,8 @@ def _ldu_rational(rows):
     entries left by the elimination.
     """
     n = len(rows)
+    if n and not rows[0][0]:
+        raise NotInBigCell("leading principal minor 1 vanishes")
     cleared = [_cleared(row) for row in rows]
     a = [ints for ints, _ in cleared]
     scale = [s for _, s in cleared]
@@ -175,19 +208,19 @@ def _ldu_rational(rows):
         p, s = a[k][k], scale[k]
         lower.append(
             tuple(
-                _share(Fraction(a[k][j] * scale[j], a[j][j] * s)) if j < k and a[k][j]
+                _rational(a[k][j] * scale[j], a[j][j] * s) if j < k and a[k][j]
                 else one if j == k else zero
                 for j in range(n)
             )
         )
         diag.append(
             tuple(
-                _share(Fraction(p, prev * s)) if j == k else zero for j in range(n)
+                _rational(p, prev * s) if j == k else zero for j in range(n)
             )
         )
         upper.append(
             tuple(
-                _share(Fraction(a[k][j], p)) if j > k and a[k][j]
+                _rational(a[k][j], p) if j > k and a[k][j]
                 else one if j == k else zero
                 for j in range(n)
             )
@@ -202,16 +235,22 @@ def split_inverse(lower: Matrix, diag: Matrix, upper: Matrix) -> Matrix:
     The unitriangular factors are inverted by substitution and D^{-1} scales
     the rows of L^{-1}, so the one general product is the last.
     """
-    scaled = Matrix._of(
-        tuple(
-            tuple(_share(x / dk) if x else x for x in row)
-            for row, dk in zip(
-                unitriangular_inverse(lower, lower=True).rows,
-                (diag.rows[k][k] for k in range(diag.nrows)),
+    rows = unitriangular_inverse(lower, lower=True).rows
+    pivots = [diag.rows[k][k] for k in range(diag.nrows)]
+    if _all_fractions(rows, (pivots,)):
+        scaled = tuple(
+            tuple(
+                _rational(x.numerator * dk.denominator, x.denominator * dk.numerator)
+                if x else x
+                for x in row
             )
+            for row, dk in zip(rows, pivots)
         )
-    )
-    return unitriangular_inverse(upper, lower=False) @ scaled
+    else:
+        scaled = tuple(
+            tuple(_share(x / dk) if x else x for x in row) for row, dk in zip(rows, pivots)
+        )
+    return unitriangular_inverse(upper, lower=False) @ Matrix._of(scaled)
 
 
 def _is_type_a(rd: RootDatum) -> bool:

@@ -16,6 +16,14 @@ polynomial division per entry and step.  ``smith_normal_form`` uses
 unimodular operations only, so it keeps the lattice.
 ``unitriangular_product`` and ``unitriangular_inverse`` compute only the
 triangle of a unitriangular result that can be nonzero.
+
+Over Q, ``@``, ``unitriangular_product`` and ``unitriangular_inverse`` test
+once per call that every entry is a Fraction (``_all_fractions``) and then
+form each entry on Python ints (``_dot_q``): the sum keeps one numerator and
+one denominator, and ``_rational`` builds the one normalized Fraction of the
+entry, the shared one for an integer in -64..64 (Knuth, TAOCP vol. 2,
+4.5.1).  Any other entry, a ``RatFun`` say, takes the generic ``_entry_dot``,
+which is the only Q(eps) path.
 """
 
 from __future__ import annotations
@@ -52,6 +60,27 @@ def _share(x):
     return x
 
 
+def _rational(n: int, d: int) -> Fraction:
+    """The Fraction n / d for ints n and d != 0, shared if an integer in -64..64.
+
+    The one constructor of the kernels that compute over Q on numerators and
+    denominators: each builds one normalized Fraction per output entry.
+    """
+    if d != 1:
+        if d < 0:
+            n, d = -n, -d
+        g = gcd(n, d)
+        if g != d:
+            return Fraction(n // g, d // g)
+        n //= d
+    return _SMALL[n + 64] if -64 <= n <= 64 else Fraction(n)
+
+
+def _all_fractions(*blocks) -> bool:
+    """Whether every entry of the given rows is a Fraction: one test per kernel call."""
+    return all(type(x) is Fraction for rows in blocks for r in rows for x in r)
+
+
 def _coerce_entry(x):
     if isinstance(x, (Fraction, RatFun)):
         return _share(x)
@@ -72,6 +101,26 @@ def _entry_dot(u, v):
     # more than the tests, and products of unitriangular matrices are sparse
     terms = [b if a == 1 else a if b == 1 else a * b for a, b in zip(u, v) if a and b]
     return _share(sum(terms[1:], terms[0])) if terms else _SMALL[64]
+
+
+def _dot_q(u, v, sign=1):
+    """sign * sum u_k v_k for Fractions u_k, v_k, built as one Fraction.
+
+    Zero terms are skipped, and the sum keeps its denominator while the
+    terms share it, so integer and equal-denominator sums never grow one.
+    """
+    n, d = 0, 1
+    for a, b in zip(u, v):
+        an = a.numerator
+        if an:
+            bn = b.numerator
+            if bn:
+                e = a.denominator * b.denominator
+                if e == d:
+                    n += an * bn
+                else:
+                    n, d = n * e + an * bn * d, d * e
+    return _rational(sign * n, d)
 
 
 def primitive_vector(v):
@@ -148,6 +197,10 @@ class Matrix:
             if self.ncols != other.nrows:
                 raise ValueError("shape mismatch in matrix product")
             ot = tuple(zip(*other.rows))
+            if _all_fractions(self.rows, other.rows):
+                return Matrix._of(
+                    tuple(tuple(_dot_q(r, c) for c in ot) for r in self.rows)
+                )
             return Matrix._of(tuple(tuple(_entry_dot(r, c) for c in ot) for r in self.rows))
         if isinstance(other, (tuple, list)):
             if self.ncols != len(other):
@@ -229,14 +282,29 @@ def unitriangular_product(a: Matrix, b: Matrix, lower: bool) -> Matrix:
     The product is unitriangular of the same kind, so only the entries on
     and below (above) the diagonal are computed, each over the terms k
     between its row and column, the only ones where a[i][k] and b[k][j] can
-    both be nonzero.  Each is the same ``_entry_dot`` as in ``a @ b``.
+    both be nonzero.  Each is the same ``_entry_dot`` (over Q ``_dot_q``) as
+    in ``a @ b``; over Q the diagonal 1s are not recomputed.
     """
     n = a.nrows
     if a.ncols != n or b.nrows != n or b.ncols != n:
         raise ValueError("shape mismatch in matrix product")
-    zero = _SMALL[64]
+    zero, one = _SMALL[64], _SMALL[65]
     cols = tuple(zip(*b.rows))
-    if lower:
+    if _all_fractions(a.rows, b.rows):
+        # over Q the diagonal is not recomputed
+        if lower:
+            rows = (
+                tuple(_dot_q(r[j:i + 1], cols[j][j:i + 1]) for j in range(i))
+                + (one,) + (zero,) * (n - 1 - i)
+                for i, r in enumerate(a.rows)
+            )
+        else:
+            rows = (
+                (zero,) * i + (one,)
+                + tuple(_dot_q(r[i:j + 1], cols[j][i:j + 1]) for j in range(i + 1, n))
+                for i, r in enumerate(a.rows)
+            )
+    elif lower:
         rows = (
             tuple(_entry_dot(r[j:i + 1], cols[j][j:i + 1]) for j in range(i + 1))
             + (zero,) * (n - 1 - i)
@@ -255,19 +323,22 @@ def unitriangular_inverse(m: Matrix, lower: bool) -> Matrix:
     """Inverse of a lower (``lower``) or upper unitriangular matrix.
 
     Forward substitution: row i of the inverse X of a lower L has
-    X[i][j] = -sum_{j <= k < i} L[i][k] X[k][j] left of its diagonal 1.  An
-    upper matrix is inverted through its transpose.
+    X[i][j] = -sum_{j <= k < i} L[i][k] X[k][j] left of its diagonal 1, over
+    Q one ``_dot_q`` with sign -1.  An upper matrix is inverted through its
+    transpose.
     """
     n = m.nrows
     if m.ncols != n:
         raise ValueError("inverse of a non-square matrix")
     src = m.rows if lower else tuple(zip(*m.rows))
     zero, one = _SMALL[64], _SMALL[65]
+    over_q = _all_fractions(src)
     out = []
     for i, r in enumerate(src):
         out.append(
             tuple(
-                _share(-_entry_dot(r[j:i], [out[k][j] for k in range(j, i)]))
+                _dot_q(r[j:i], [out[k][j] for k in range(j, i)], -1) if over_q
+                else _share(-_entry_dot(r[j:i], [out[k][j] for k in range(j, i)]))
                 for j in range(i)
             )
             + (one,)

@@ -11,9 +11,16 @@ import pytest
 
 from toroidal.bigcell import DomainReport, MixedPoint, OutsideVi
 from toroidal.chevalley import NotInBigCell
-from toroidal.charts import coweight_scale, evaluate_character
+from toroidal.charts import (
+    ChartPoint,
+    _as_scalar,
+    _character_value,
+    _power,
+    coweight_scale,
+    evaluate_character,
+)
 from toroidal.cones import HILBERT_BOX_LIMIT, Cone, generators_from_halfspaces
-from toroidal.linalg import Matrix, _gauss_jordan, dot, primitive_vector
+from toroidal.linalg import _SMALL, Matrix, _gauss_jordan, _share, dot, primitive_vector
 from toroidal.ratfun import PoleAtZero
 
 
@@ -157,6 +164,120 @@ def _ldu_by_division(g: Matrix):
         for i in range(n)
     ]
     return Matrix(lower), Matrix.diagonal(diag), Matrix(upper)
+
+
+def _entry_dot_by_fractions(u, v):
+    """sum u_k v_k by Fraction (or RatFun) arithmetic, skipping zero terms and unit factors."""
+    terms = [b if a == 1 else a if b == 1 else a * b for a, b in zip(u, v) if a and b]
+    return _share(sum(terms[1:], terms[0])) if terms else _SMALL[64]
+
+
+def _matmul_by_fractions(a: Matrix, b: Matrix) -> Matrix:
+    cols = tuple(zip(*b.rows))
+    return Matrix._of(tuple(tuple(_entry_dot_by_fractions(r, c) for c in cols) for r in a.rows))
+
+
+def _unitriangular_product_by_fractions(a: Matrix, b: Matrix, lower: bool) -> Matrix:
+    n = a.nrows
+    zero = _SMALL[64]
+    cols = tuple(zip(*b.rows))
+    if lower:
+        rows = (
+            tuple(_entry_dot_by_fractions(r[j:i + 1], cols[j][j:i + 1]) for j in range(i + 1))
+            + (zero,) * (n - 1 - i)
+            for i, r in enumerate(a.rows)
+        )
+    else:
+        rows = (
+            (zero,) * i
+            + tuple(_entry_dot_by_fractions(r[i:j + 1], cols[j][i:j + 1]) for j in range(i, n))
+            for i, r in enumerate(a.rows)
+        )
+    return Matrix._of(tuple(rows))
+
+
+def _unitriangular_inverse_by_fractions(m: Matrix, lower: bool) -> Matrix:
+    n = m.nrows
+    src = m.rows if lower else tuple(zip(*m.rows))
+    zero, one = _SMALL[64], _SMALL[65]
+    out = []
+    for i, r in enumerate(src):
+        out.append(
+            tuple(
+                _share(-_entry_dot_by_fractions(r[j:i], [out[k][j] for k in range(j, i)]))
+                for j in range(i)
+            )
+            + (one,)
+            + (zero,) * (n - 1 - i)
+        )
+    return Matrix._of(tuple(out) if lower else tuple(zip(*out)))
+
+
+def _plus_times_by_fractions(a, b, c):
+    if not b:
+        return a
+    t = b * c
+    return _share(a + t if a else t)
+
+
+def _conjugate_diagonal_by_fractions(d, d_inv, g: Matrix) -> Matrix:
+    return Matrix._of(
+        tuple(
+            tuple(
+                _share(x * da * d_inv[b]) if x and a != b else x
+                for b, x in enumerate(row)
+            )
+            for a, (row, da) in enumerate(zip(g.rows, d))
+        )
+    )
+
+
+def _split_inverse_by_fractions(lower: Matrix, diag: Matrix, upper: Matrix) -> Matrix:
+    scaled = Matrix._of(
+        tuple(
+            tuple(_share(x / dk) if x else x for x in row)
+            for row, dk in zip(
+                _unitriangular_inverse_by_fractions(lower, lower=True).rows,
+                (diag.rows[k][k] for k in range(diag.nrows)),
+            )
+        )
+    )
+    return _matmul_by_fractions(_unitriangular_inverse_by_fractions(upper, lower=False), scaled)
+
+
+def _torus_translate_by_fractions(t_coords, p: ChartPoint) -> ChartPoint:
+    t_coords = [_as_scalar(c) for c in t_coords]
+    values = {h: _character_value(t_coords, h) * v for h, v in p.values.items()}
+    return ChartPoint._trusted(p.cone, values)
+
+
+class FractionKernels:
+    """The big-cell kernels before they computed over Q on ints, kept as references.
+
+    Each is the generic body that still serves RatFun operands: it builds a
+    Fraction for every intermediate product and sum.
+    """
+
+    matmul = staticmethod(_matmul_by_fractions)
+    unitriangular_product = staticmethod(_unitriangular_product_by_fractions)
+    unitriangular_inverse = staticmethod(_unitriangular_inverse_by_fractions)
+    plus_times = staticmethod(_plus_times_by_fractions)
+    conjugate_diagonal = staticmethod(_conjugate_diagonal_by_fractions)
+    split_inverse = staticmethod(_split_inverse_by_fractions)
+    torus_translate = staticmethod(_torus_translate_by_fractions)
+
+
+def _monomial_by_powers(values, exponents):
+    """The product of values[h] ** e, every power taken in turn (0^0 = 1).
+
+    ``charts._monomial`` before it returned zero without taking the other
+    powers, kept as a reference.
+    """
+    out = Fraction(1)
+    for h, e in exponents:
+        if e:
+            out = out * _power(values[h], e)
+    return out
 
 
 @functools.cache
@@ -688,6 +809,16 @@ def rays_by_double_description():
 @pytest.fixture(scope="session")
 def splitting_by_double_description():
     return _splitting_by_double_description
+
+
+@pytest.fixture(scope="session")
+def fraction_kernels():
+    return FractionKernels
+
+
+@pytest.fixture(scope="session")
+def monomial_by_powers():
+    return _monomial_by_powers
 
 
 @pytest.fixture(scope="session")

@@ -370,6 +370,18 @@ def test_anchors_certify_the_round_trip(monkeypatch):
         calc.anchors(RAY1)
 
 
+def test_anchor_inverses_match_gauss_jordan():
+    for rank in (1, 2, 3):
+        calc = Calculus(RootDatum.of_type("A", rank))
+        for cone in chamber_cones(calc.rd):
+            um, um_inv, up, up_inv = calc.anchors(cone)
+            for got, want in ((um_inv, um.inverse()), (up_inv, up.inverse())):
+                assert repr(got) == repr(want)
+                assert [type(x) for r in got.rows for x in r] == [
+                    type(x) for r in want.rows for x in r
+                ]
+
+
 def test_reorder_direct_frozen_sl2():
     up = Matrix([[1, 1], [0, 1]])
     um = Matrix([[1, 0], [1, 1]])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from toroidal.catalog import cone_catalog
 from toroidal.charts import (
     ChartPoint,
+    _monomial,
     _torus_shift,
     InvalidChartValues,
     LimitDoesNotExist,
@@ -176,6 +177,30 @@ def test_evaluate_character_is_multiplicative():
         assert evaluate_character(p, both) == evaluate_character(
             p, m1
         ) * evaluate_character(p, m2)
+
+
+def test_monomial_matches_the_power_loop(monomial_by_powers):
+    rng = random.Random(9)
+    pool = [Fraction(0), Fraction(1), Fraction(-2), Fraction(3, 5), Fraction(-7, 4)]
+    eps_pool = [1 + EPS, EPS, 2 - 3 * EPS, EPS / (1 + EPS)]
+    zeros = 0
+    for eps in (False, True):
+        for _ in range(400):
+            values = {
+                h: rng.choice(eps_pool) if eps and rng.randrange(3) == 0 else rng.choice(pool)
+                for h in range(4)
+            }
+            exponents = [(h, rng.randint(-3, 5)) for h in range(4) if rng.randrange(4)]
+            try:
+                want = monomial_by_powers(values, exponents)
+            except ZeroScalar as e:
+                with pytest.raises(ZeroScalar, match=f"^{e}$"):
+                    _monomial(values, exponents)
+                continue
+            got = _monomial(values, exponents)
+            assert got == want and repr(got) == repr(want) and type(got) is type(want)
+            zeros += got == 0
+    assert zeros > 100
 
 
 def test_torus_translate_matches_coordinate_product():

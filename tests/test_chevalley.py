@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from toroidal import chevalley
 from toroidal.chevalley import (
     NotInBigCell,
     Pinning,
@@ -261,6 +262,24 @@ def test_ldu_names_the_first_vanishing_minor(rows, minor):
     g = Matrix(rows)
     with pytest.raises(NotInBigCell, match=f"^leading principal minor {minor} vanishes$"):
         pinning(g.nrows - 1).ldu(g)
+
+
+def test_ldu_refuses_a_vanishing_first_minor_before_clearing_rows(monkeypatch):
+    cleared = []
+    clear = chevalley._cleared
+
+    def counted(row):
+        cleared.append(row)
+        return clear(row)
+
+    monkeypatch.setattr(chevalley, "_cleared", counted)
+    for rows in ([[0, 1], [1, 0]], [[0, 1, 0], [Fraction(1, 3), 0, 0], [0, 0, 3]]):
+        g = Matrix(rows)
+        with pytest.raises(NotInBigCell, match="^leading principal minor 1 vanishes$"):
+            pinning(g.nrows - 1).ldu(g)
+    assert cleared == []
+    pinning(1).ldu(Matrix([[1, 1], [Fraction(1, 2), 2]]))
+    assert len(cleared) == 2
 
 
 def test_refactor_frozen_sl3(unipotent_refactor):

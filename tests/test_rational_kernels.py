@@ -1,0 +1,176 @@
+"""The big-cell kernels over Q against their Fraction-arithmetic references.
+
+Over Q the kernels compute on numerators and denominators and build one
+Fraction per output entry; the references in ``conftest.FractionKernels``
+build one for every intermediate product and sum.  Both must give the same
+values of the same type, and the kernels must hand out the shared Fraction
+for every integer in -64..64.  Any RatFun operand sends a kernel down the
+reference body, so mixed input must print as the reference does.
+"""
+
+import random
+from fractions import Fraction
+
+from toroidal.catalog import chamber_cones
+from toroidal.charts import ChartPoint, limit_point, torus_point, torus_translate
+from toroidal.chevalley import _plus_times, conjugate_diagonal, split_inverse
+from toroidal.cones import Cone, interior_cocharacter
+from toroidal.linalg import _SMALL, Matrix, _share, unitriangular_inverse, unitriangular_product
+from toroidal.ratfun import EPS, RatFun
+from toroidal.rootdata import RootDatum
+
+
+def _scalar(rng, nonzero=False):
+    """0, +-1, an integer up to 64 or far beyond it, or a quotient, some with large denominators.
+
+    Small integers are the shared Fractions, as in every matrix and chart
+    point, since a kernel hands an entry it does not change back as it is.
+    """
+    while True:
+        kind = rng.randrange(6)
+        if kind == 0:
+            x = Fraction(0)
+        elif kind == 1:
+            x = Fraction(rng.choice((1, -1)))
+        elif kind == 2:
+            x = Fraction(rng.randint(-64, 64))
+        elif kind == 3:
+            x = Fraction(rng.choice((1, -1)) * rng.randint(65, 10**20))
+        elif kind == 4:
+            x = Fraction(rng.randint(-10**12, 10**12), rng.randint(2, 10**12))
+        else:
+            x = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        if x or not nonzero:
+            return _share(x)
+
+
+def _mixed_scalar(rng, nonzero=False):
+    """A Fraction or, one time in three, a RatFun with a nonzero eps term."""
+    x = _scalar(rng, nonzero)
+    return x + rng.choice((1, -2)) * EPS if rng.randrange(3) == 0 else x
+
+
+def _general(rng, n, scalar=_scalar):
+    return Matrix([[scalar(rng) for _ in range(n)] for _ in range(n)])
+
+
+def _unitriangular(rng, n, lower, scalar=_scalar):
+    return Matrix(
+        [
+            [1 if i == j else scalar(rng) if (j < i) == lower else 0 for j in range(n)]
+            for i in range(n)
+        ]
+    )
+
+
+def _entries(x):
+    if isinstance(x, Matrix):
+        return [e for r in x.rows for e in r]
+    if isinstance(x, ChartPoint):
+        return [v for _, v in sorted(x.values.items())]
+    return [x]
+
+
+def _same(got, want):
+    """Equal value and type entry by entry; small integers are the shared Fractions."""
+    got_entries, want_entries = _entries(got), _entries(want)
+    assert len(got_entries) == len(want_entries)
+    for x, y in zip(got_entries, want_entries):
+        assert type(x) is type(y) and x == y, (got, want)
+        if x.denominator == 1 and -64 <= x.numerator <= 64:
+            assert x is _SMALL[x.numerator + 64], (got, x)
+
+
+def test_products_and_inverses_match_fraction_arithmetic(fraction_kernels):
+    rng = random.Random(1)
+    for n in (1, 2, 3, 4):
+        for _ in range(60):
+            a, b = _general(rng, n), _general(rng, n)
+            _same(a @ b, fraction_kernels.matmul(a, b))
+            for lower in (True, False):
+                u, v = _unitriangular(rng, n, lower), _unitriangular(rng, n, lower)
+                _same(
+                    unitriangular_product(u, v, lower),
+                    fraction_kernels.unitriangular_product(u, v, lower),
+                )
+                _same(
+                    unitriangular_inverse(u, lower),
+                    fraction_kernels.unitriangular_inverse(u, lower),
+                )
+
+
+def test_scalings_match_fraction_arithmetic(fraction_kernels):
+    rng = random.Random(2)
+    for _ in range(2000):
+        a, b, c = _scalar(rng), _scalar(rng), _scalar(rng)
+        _same(_plus_times(a, b, c), fraction_kernels.plus_times(a, b, c))
+    for n in (1, 2, 3, 4):
+        for _ in range(60):
+            d = tuple(_scalar(rng, nonzero=True) for _ in range(n))
+            d_inv = tuple(1 / x for x in d)
+            g = _general(rng, n)
+            _same(conjugate_diagonal(d, d_inv, g), fraction_kernels.conjugate_diagonal(d, d_inv, g))
+            _same(conjugate_diagonal(d_inv, d, g), fraction_kernels.conjugate_diagonal(d_inv, d, g))
+            lower, upper = _unitriangular(rng, n, True), _unitriangular(rng, n, False)
+            diag = Matrix.diagonal(d)
+            _same(
+                split_inverse(lower, diag, upper),
+                fraction_kernels.split_inverse(lower, diag, upper),
+            )
+
+
+def _chart_points(rng, rank):
+    """Torus points and translated limit points on the chamber cones of A_rank."""
+    out = []
+    for cone in chamber_cones(RootDatum.of_type("A", rank)):
+        coords = tuple(_scalar(rng, nonzero=True) for _ in range(rank))
+        out.append(torus_point(coords, cone))
+        if not cone.is_zero():
+            out.append(torus_translate(coords, limit_point(interior_cocharacter(cone), cone)))
+    return out
+
+
+def test_torus_translate_matches_fraction_arithmetic(fraction_kernels):
+    rng = random.Random(3)
+    for rank in (1, 2, 3):
+        for p in _chart_points(rng, rank):
+            t = tuple(_scalar(rng, nonzero=True) for _ in range(rank))
+            _same(torus_translate(t, p), fraction_kernels.torus_translate(t, p))
+
+
+def test_mixed_operands_print_as_the_reference(fraction_kernels):
+    rng = random.Random(4)
+    for n in (1, 2, 3):
+        for _ in range(15):
+            a, b = _general(rng, n, _mixed_scalar), _general(rng, n, _mixed_scalar)
+            assert repr(a @ b) == repr(fraction_kernels.matmul(a, b))
+            for lower in (True, False):
+                u = _unitriangular(rng, n, lower, _mixed_scalar)
+                v = _unitriangular(rng, n, lower, _mixed_scalar)
+                assert repr(unitriangular_product(u, v, lower)) == repr(
+                    fraction_kernels.unitriangular_product(u, v, lower)
+                )
+                assert repr(unitriangular_inverse(u, lower)) == repr(
+                    fraction_kernels.unitriangular_inverse(u, lower)
+                )
+            d = tuple(_mixed_scalar(rng, nonzero=True) for _ in range(n))
+            d_inv = tuple(1 / x for x in d)
+            g = _general(rng, n, _mixed_scalar)
+            assert repr(conjugate_diagonal(d, d_inv, g)) == repr(
+                fraction_kernels.conjugate_diagonal(d, d_inv, g)
+            )
+            lower, upper = _unitriangular(rng, n, True, _mixed_scalar), _unitriangular(rng, n, False)
+            diag = Matrix.diagonal(d)
+            assert repr(split_inverse(lower, diag, upper)) == repr(
+                fraction_kernels.split_inverse(lower, diag, upper)
+            )
+    for _ in range(300):
+        a, b, c = _mixed_scalar(rng), _mixed_scalar(rng), _mixed_scalar(rng)
+        got, want = _plus_times(a, b, c), fraction_kernels.plus_times(a, b, c)
+        assert repr(got) == repr(want) and type(got) is type(want)
+    cone = Cone([(-1, 0), (-1, -1)], dim=2)
+    for _ in range(20):
+        p = torus_point(tuple(_mixed_scalar(rng, nonzero=True) for _ in range(2)), cone)
+        t = tuple(_mixed_scalar(rng, nonzero=True) for _ in range(2))
+        assert repr(torus_translate(t, p)) == repr(fraction_kernels.torus_translate(t, p))
+    assert any(isinstance(v, RatFun) for v in torus_translate((EPS, 1), p).values.values())
