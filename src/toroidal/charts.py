@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cones import Cone, NotInMonoid, interior_cocharacter
-from .linalg import Matrix, _all_fractions, _rational, dot, integer_kernel
+from .linalg import Matrix, _rational, dot, integer_kernel
 from .ratfun import RatFun, evaluate_at_zero
 
 __all__ = [
@@ -202,28 +202,23 @@ def evaluate_character(p: ChartPoint, m):
 def torus_translate(t_coords, p: ChartPoint) -> ChartPoint:
     """The point t . p: the value at h is multiplied by h(t).
 
-    Over Q, each new value is one Fraction built from the numerators and
-    denominators of t and of the old value.
+    Each new value is one ``linalg._rational`` built from the numerators
+    and denominators of t and of the old value, on both fields.
     """
     t_coords = [_as_scalar(c) for c in t_coords]
     if any(c == 0 for c in t_coords):
         raise ZeroCoordinate("translation by a non-invertible point")
-    if _all_fractions((t_coords, p.values.values())):
-        t = [(c.numerator, c.denominator) for c in t_coords]
-        values = {}
-        for h, v in p.values.items():
-            n, d = v.numerator, v.denominator
-            if n:
-                for (cn, cd), e in zip(t, h):
-                    if e > 0:
-                        n, d = n * cn ** e, d * cd ** e
-                    elif e < 0:
-                        n, d = n * cd ** -e, d * cn ** -e
-            values[h] = _rational(n, d)
-        return ChartPoint._trusted(p.cone, values)
-    values = {
-        h: _character_value(t_coords, h) * v for h, v in p.values.items()
-    }
+    t = [(c.numerator, c.denominator) for c in t_coords]
+    values = {}
+    for h, v in p.values.items():
+        n, d = v.numerator, v.denominator
+        if n:
+            for (cn, cd), e in zip(t, h):
+                if e > 0:
+                    n, d = n * cn ** e, d * cd ** e
+                elif e < 0:
+                    n, d = n * cd ** -e, d * cn ** -e
+        values[h] = _rational(n, d)
     return ChartPoint._trusted(p.cone, values)
 
 

@@ -21,13 +21,14 @@ is applied without a dense product:
   torus coordinates off diagonal entries, so a product of diagonals is
   entrywise.
 
-Over Q these operations compute on Python ints.  ``_plus_times`` (behind
-the row and column operations), ``conjugate_diagonal`` and the row scaling
-of ``split_inverse`` test their operands once for being Fractions, read
-their numerators and denominators, and build one Fraction per output entry
-with ``linalg._rational``; a ``RatFun`` operand takes the Fraction-generic
-code, the only Q(eps) path.  ``_ldu_rational`` splits cleared integer rows by
-``linalg._bareiss`` and refuses a vanishing first pivot before clearing any.
+These operations compute on numerators and denominators: ``_plus_times``
+(behind the row and column operations), ``conjugate_diagonal`` and the row
+scaling of ``split_inverse`` build one entry per output with
+``linalg._rational``, a Fraction from ints over Q and a RatFun from the
+integer polynomials of ``ratfun._Poly`` over Q(eps), in one body for both
+fields.  ``Pinning.ldu`` clears each row of denominators, over Z or
+Z[eps], and splits the rows by ``linalg._bareiss``; it refuses a vanishing
+first pivot before clearing any.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from fractions import Fraction
 from .linalg import (
     _SMALL,
     Matrix,
-    _all_fractions,
     _bareiss,
     _coerce_entry,
     _rational,
@@ -68,17 +68,14 @@ class NotSingleRootImage(ValueError):
 
 
 def _plus_times(a, b, c):
-    """a + b * c, with no arithmetic on a zero term; on ints over Q."""
+    """a + b * c from numerators and denominators, with no arithmetic on a zero term."""
     if not b:
         return a
-    if type(a) is Fraction and type(b) is Fraction and type(c) is Fraction:
-        n, d = b.numerator * c.numerator, b.denominator * c.denominator
-        if a:
-            ad = a.denominator
-            n, d = a.numerator * d + n * ad, d * ad
-        return _rational(n, d)
-    t = b * c
-    return _share(a + t if a else t)
+    n, d = b.numerator * c.numerator, b.denominator * c.denominator
+    if a:
+        ad = a.denominator
+        n, d = a.numerator * d + n * ad, d * ad
+    return _rational(n, d)
 
 
 def signed_permutation(m: Matrix):
@@ -150,25 +147,15 @@ def conjugate_diagonal(d, d_inv, g: Matrix) -> Matrix:
     n = len(d)
     if g.nrows != n or g.ncols != n or len(d_inv) != n:
         raise ValueError("shape mismatch in diagonal conjugation")
-    if _all_fractions((d, d_inv), g.rows):
-        # x d[a] d_inv[b] as one Fraction from the numerators and denominators
-        return Matrix._of(
-            tuple(
-                tuple(
-                    _rational(
-                        x.numerator * da.numerator * d_inv[b].numerator,
-                        x.denominator * da.denominator * d_inv[b].denominator,
-                    )
-                    if x and a != b else x
-                    for b, x in enumerate(row)
-                )
-                for a, (row, da) in enumerate(zip(g.rows, d))
-            )
-        )
+    # x d[a] d_inv[b] as one entry from the numerators and denominators
     return Matrix._of(
         tuple(
             tuple(
-                _share(x * da * d_inv[b]) if x and a != b else x
+                _rational(
+                    x.numerator * da.numerator * d_inv[b].numerator,
+                    x.denominator * da.denominator * d_inv[b].denominator,
+                )
+                if x and a != b else x
                 for b, x in enumerate(row)
             )
             for a, (row, da) in enumerate(zip(g.rows, d))
@@ -177,16 +164,17 @@ def conjugate_diagonal(d, d_inv, g: Matrix) -> Matrix:
 
 
 def _ldu_rational(rows):
-    """The ldu split of a square matrix of Fractions, on Python ints.
+    """The ldu split of a square matrix, on Python ints or on Z[eps].
 
-    Row i is cleared of denominators by the lcm s_i of its denominators and
-    eliminated by ``linalg._bareiss``.  While step k pivots at (k, k) no row
-    was swapped, so the pivot p_k is the (k+1)-th leading principal minor;
-    the first step that does not, or is missing, names a vanishing one, and
-    the elimination stops there.
-    Each output entry is then one Fraction: L[i][k] = a_ik s_k / (p_k s_i),
-    D_k = p_k / (p_{k-1} s_k) and U[k][j] = a_kj / p_k, with a the integer
-    entries left by the elimination.
+    Row i is cleared of denominators by the lcm s_i of its denominators, an
+    int or, if the row holds a RatFun, an integer polynomial, and eliminated
+    by ``linalg._bareiss``.  While step k pivots at (k, k) no row was
+    swapped, so the pivot p_k is the (k+1)-th leading principal minor; the
+    first step that does not, or is missing, names a vanishing one, and the
+    elimination stops there.  Each output entry is then one
+    ``linalg._rational``: L[i][k] = a_ik s_k / (p_k s_i), D_k = p_k /
+    (p_{k-1} s_k) and U[k][j] = a_kj / p_k, with a the entries left by the
+    elimination.
     """
     n = len(rows)
     if n and not rows[0][0]:
@@ -237,19 +225,13 @@ def split_inverse(lower: Matrix, diag: Matrix, upper: Matrix) -> Matrix:
     """
     rows = unitriangular_inverse(lower, lower=True).rows
     pivots = [diag.rows[k][k] for k in range(diag.nrows)]
-    if _all_fractions(rows, (pivots,)):
-        scaled = tuple(
-            tuple(
-                _rational(x.numerator * dk.denominator, x.denominator * dk.numerator)
-                if x else x
-                for x in row
-            )
-            for row, dk in zip(rows, pivots)
+    scaled = tuple(
+        tuple(
+            _rational(x.numerator * dk.denominator, x.denominator * dk.numerator) if x else x
+            for x in row
         )
-    else:
-        scaled = tuple(
-            tuple(_share(x / dk) if x else x for x in row) for row, dk in zip(rows, pivots)
-        )
+        for row, dk in zip(rows, pivots)
+    )
     return unitriangular_inverse(upper, lower=False) @ Matrix._of(scaled)
 
 
@@ -391,34 +373,14 @@ class Pinning:
 
         Pivot-free, so it is also the big-cell membership test: the k-th
         pivot vanishes exactly when the k-th leading principal minor does,
-        and then NotInBigCell is raised.  A matrix of Fractions is split by
-        fraction-free elimination on Python ints (``_ldu_rational``); any
-        other entries, such as RatFun, by elimination with one division per
-        entry and step.
+        and then NotInBigCell is raised.  One fraction-free elimination
+        (``_ldu_rational``) serves both fields: on Python ints over Q and on
+        integer polynomials over Q(eps), with one exact division per entry
+        and step.
         """
-        n = self.n
-        if g.nrows != n or g.ncols != n:
+        if g.nrows != self.n or g.ncols != self.n:
             raise ValueError("size mismatch")
-        if all(type(x) is Fraction for row in g.rows for x in row):
-            return _ldu_rational(g.rows)
-        a = [list(r) for r in g.rows]
-        lower = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-        for k in range(n):
-            if a[k][k] == 0:
-                raise NotInBigCell(f"leading principal minor {k + 1} vanishes")
-            inv = 1 / a[k][k]
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    f = a[i][k] * inv
-                    lower[i][k] = f
-                    for j in range(k, n):
-                        a[i][j] = a[i][j] - f * a[k][j]
-        diag = [a[i][i] for i in range(n)]
-        upper = [
-            [a[i][j] / diag[i] if j > i else (1 if i == j else 0) for j in range(n)]
-            for i in range(n)
-        ]
-        return Matrix(lower), Matrix.diagonal(diag), Matrix(upper)
+        return _ldu_rational(g.rows)
 
     def unipotent_product(self, order, coords) -> Matrix:
         """x_{b_1}(c_1) ... x_{b_m}(c_m), one column operation per factor."""

@@ -6,24 +6,22 @@ elimination never pivots for numerical stability, only for non-vanishing.
 
 ``_bareiss``, a fraction-free elimination on Python ints, gives the pivots
 for the integer rank (``_int_rank``, behind ``integer_rank`` and the rank
-tests of ``cones``), ``Matrix.det`` and the big-cell split of a matrix of
-Fractions in ``chevalley.Pinning.ldu``; rational rows are cleared of
-denominators first.  ``_gauss_jordan`` stays for ``Matrix.inverse``, which
-also inverts ``RatFun`` matrices, and for the lattice helpers of ``cones``,
-which need reduced rows rather than pivots.  ``Pinning.ldu`` splits a
-``RatFun`` matrix by division, since Bareiss over Z[eps] would need an exact
-polynomial division per entry and step.  ``smith_normal_form`` uses
-unimodular operations only, so it keeps the lattice.
-``unitriangular_product`` and ``unitriangular_inverse`` compute only the
-triangle of a unitriangular result that can be nonzero.
+tests of ``cones``) and ``Matrix.det``, and on the integer polynomials of
+Z[eps] as well it gives the big-cell split of ``chevalley.Pinning.ldu``;
+rows are cleared of denominators first.  ``_gauss_jordan`` stays for
+``Matrix.inverse``, which also inverts ``RatFun`` matrices, and for the
+lattice helpers of ``cones``, which need reduced rows rather than pivots.
+``smith_normal_form`` uses unimodular operations only, so it keeps the
+lattice.  ``unitriangular_product`` and ``unitriangular_inverse`` compute
+only the triangle of a unitriangular result that can be nonzero.
 
-Over Q, ``@``, ``unitriangular_product`` and ``unitriangular_inverse`` test
-once per call that every entry is a Fraction (``_all_fractions``) and then
-form each entry on Python ints (``_dot_q``): the sum keeps one numerator and
-one denominator, and ``_rational`` builds the one normalized Fraction of the
-entry, the shared one for an integer in -64..64 (Knuth, TAOCP vol. 2,
-4.5.1).  Any other entry, a ``RatFun`` say, takes the generic ``_entry_dot``,
-which is the only Q(eps) path.
+``@``, ``unitriangular_product`` and ``unitriangular_inverse`` form each
+entry on numerators and denominators (``_dot_q``): the sum keeps one
+numerator and one denominator, and ``_rational`` builds the entry once
+(Knuth, TAOCP vol. 2, 4.5.1).  Over Q these are ints and the entry is one
+normalized Fraction, the shared one for an integer in -64..64; a ``RatFun``
+operand brings integer polynomials (``ratfun._Poly``), and the entry is
+one canonical RatFun.  One body serves both fields.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from fractions import Fraction
 from math import gcd, prod
 from operator import mul
 
-from .ratfun import RatFun, _cleared
+from .ratfun import RatFun, _cleared, _reduced
 
 __all__ = [
     "Matrix",
@@ -60,12 +58,16 @@ def _share(x):
     return x
 
 
-def _rational(n: int, d: int) -> Fraction:
-    """The Fraction n / d for ints n and d != 0, shared if an integer in -64..64.
+def _rational(n, d):
+    """The entry n / d, d != 0, for two ints or two integer polynomials.
 
-    The one constructor of the kernels that compute over Q on numerators and
-    denominators: each builds one normalized Fraction per output entry.
+    The one constructor of the kernels that compute on numerators and
+    denominators: each builds one entry per output.  For ints it is a
+    normalized Fraction, shared if an integer in -64..64; for ``_Poly``s the
+    canonical RatFun, which stores plain tuples.
     """
+    if type(n) is not int:
+        return _reduced(tuple(n), tuple(d))
     if d != 1:
         if d < 0:
             n, d = -n, -d
@@ -74,11 +76,6 @@ def _rational(n: int, d: int) -> Fraction:
             return Fraction(n // g, d // g)
         n //= d
     return _SMALL[n + 64] if -64 <= n <= 64 else Fraction(n)
-
-
-def _all_fractions(*blocks) -> bool:
-    """Whether every entry of the given rows is a Fraction: one test per kernel call."""
-    return all(type(x) is Fraction for rows in blocks for r in rows for x in r)
 
 
 def _coerce_entry(x):
@@ -96,15 +93,8 @@ def dot(u, v):
     return sum(map(mul, u, v))
 
 
-def _entry_dot(u, v):
-    # zero terms and unit factors are skipped: a Fraction product costs far
-    # more than the tests, and products of unitriangular matrices are sparse
-    terms = [b if a == 1 else a if b == 1 else a * b for a, b in zip(u, v) if a and b]
-    return _share(sum(terms[1:], terms[0])) if terms else _SMALL[64]
-
-
 def _dot_q(u, v, sign=1):
-    """sign * sum u_k v_k for Fractions u_k, v_k, built as one Fraction.
+    """sign * sum u_k v_k, built as one entry by ``_rational``.
 
     Zero terms are skipped, and the sum keeps its denominator while the
     terms share it, so integer and equal-denominator sums never grow one.
@@ -197,11 +187,7 @@ class Matrix:
             if self.ncols != other.nrows:
                 raise ValueError("shape mismatch in matrix product")
             ot = tuple(zip(*other.rows))
-            if _all_fractions(self.rows, other.rows):
-                return Matrix._of(
-                    tuple(tuple(_dot_q(r, c) for c in ot) for r in self.rows)
-                )
-            return Matrix._of(tuple(tuple(_entry_dot(r, c) for c in ot) for r in self.rows))
+            return Matrix._of(tuple(tuple(_dot_q(r, c) for c in ot) for r in self.rows))
         if isinstance(other, (tuple, list)):
             if self.ncols != len(other):
                 raise ValueError("shape mismatch in matrix-vector product")
@@ -279,41 +265,27 @@ class Matrix:
 def unitriangular_product(a: Matrix, b: Matrix, lower: bool) -> Matrix:
     """a @ b for two lower (``lower``) or two upper unitriangular matrices.
 
-    The product is unitriangular of the same kind, so only the entries on
-    and below (above) the diagonal are computed, each over the terms k
-    between its row and column, the only ones where a[i][k] and b[k][j] can
-    both be nonzero.  Each is the same ``_entry_dot`` (over Q ``_dot_q``) as
-    in ``a @ b``; over Q the diagonal 1s are not recomputed.
+    The product is unitriangular of the same kind, so only the entries
+    below (above) the diagonal are computed, each over the terms k between
+    its row and column, the only ones where a[i][k] and b[k][j] can both be
+    nonzero, by the same ``_dot_q`` as in ``a @ b``; the diagonal 1s are
+    written, not recomputed.
     """
     n = a.nrows
     if a.ncols != n or b.nrows != n or b.ncols != n:
         raise ValueError("shape mismatch in matrix product")
     zero, one = _SMALL[64], _SMALL[65]
     cols = tuple(zip(*b.rows))
-    if _all_fractions(a.rows, b.rows):
-        # over Q the diagonal is not recomputed
-        if lower:
-            rows = (
-                tuple(_dot_q(r[j:i + 1], cols[j][j:i + 1]) for j in range(i))
-                + (one,) + (zero,) * (n - 1 - i)
-                for i, r in enumerate(a.rows)
-            )
-        else:
-            rows = (
-                (zero,) * i + (one,)
-                + tuple(_dot_q(r[i:j + 1], cols[j][i:j + 1]) for j in range(i + 1, n))
-                for i, r in enumerate(a.rows)
-            )
-    elif lower:
+    if lower:
         rows = (
-            tuple(_entry_dot(r[j:i + 1], cols[j][j:i + 1]) for j in range(i + 1))
-            + (zero,) * (n - 1 - i)
+            tuple(_dot_q(r[j:i + 1], cols[j][j:i + 1]) for j in range(i))
+            + (one,) + (zero,) * (n - 1 - i)
             for i, r in enumerate(a.rows)
         )
     else:
         rows = (
-            (zero,) * i
-            + tuple(_entry_dot(r[i:j + 1], cols[j][i:j + 1]) for j in range(i, n))
+            (zero,) * i + (one,)
+            + tuple(_dot_q(r[i:j + 1], cols[j][i:j + 1]) for j in range(i + 1, n))
             for i, r in enumerate(a.rows)
         )
     return Matrix._of(tuple(rows))
@@ -323,8 +295,8 @@ def unitriangular_inverse(m: Matrix, lower: bool) -> Matrix:
     """Inverse of a lower (``lower``) or upper unitriangular matrix.
 
     Forward substitution: row i of the inverse X of a lower L has
-    X[i][j] = -sum_{j <= k < i} L[i][k] X[k][j] left of its diagonal 1, over
-    Q one ``_dot_q`` with sign -1.  An upper matrix is inverted through its
+    X[i][j] = -sum_{j <= k < i} L[i][k] X[k][j] left of its diagonal 1, one
+    ``_dot_q`` with sign -1.  An upper matrix is inverted through its
     transpose.
     """
     n = m.nrows
@@ -332,15 +304,10 @@ def unitriangular_inverse(m: Matrix, lower: bool) -> Matrix:
         raise ValueError("inverse of a non-square matrix")
     src = m.rows if lower else tuple(zip(*m.rows))
     zero, one = _SMALL[64], _SMALL[65]
-    over_q = _all_fractions(src)
     out = []
     for i, r in enumerate(src):
         out.append(
-            tuple(
-                _dot_q(r[j:i], [out[k][j] for k in range(j, i)], -1) if over_q
-                else _share(-_entry_dot(r[j:i], [out[k][j] for k in range(j, i)]))
-                for j in range(i)
-            )
+            tuple(_dot_q(r[j:i], [out[k][j] for k in range(j, i)], -1) for j in range(i))
             + (one,)
             + (zero,) * (n - 1 - i)
         )

@@ -11,6 +11,13 @@ Gauss's lemma their gcd can be taken and divided out over the integers
 (heuristic gcd, with the primitive pseudo-remainder sequence as fallback;
 Geddes, Czapor and Labahn, *Algorithms for Computer Algebra*, 1992, ch. 7),
 so ``RatFun`` arithmetic never builds a ``Fraction`` coefficient.
+
+Like a Fraction, a RatFun has ``numerator`` and ``denominator``: integer
+polynomials as ``_Poly``, which add, subtract, multiply (also with ints),
+raise to powers and divide exactly, taking no gcd.  So the kernels of
+``linalg`` and ``chevalley`` written on the numerators and denominators of
+Fractions run unchanged over Z[eps] (Bareiss, Math. Comp. 22, 1968; Knuth,
+TAOCP vol. 2, 4.5.1), and ``linalg._rational`` reduces each result once.
 """
 
 from __future__ import annotations
@@ -37,8 +44,21 @@ def _trim(cs: list) -> tuple:
 
 
 def _cleared(xs):
-    """Ints n_i and the least d > 0 with x_i == n_i / d, for rationals x_i."""
-    d = lcm(*(x.denominator for x in xs))
+    """Numerators n_i over a least common denominator d: x_i == n_i / d.
+
+    For Fractions, ints n_i and d > 0.  A RatFun among the x_i makes every
+    n_i and d a ``_Poly``, d a least common multiple of the denominators
+    over Z[eps] (up to sign).
+    """
+    ds = [x.denominator for x in xs]
+    if all(type(d) is int for d in ds):
+        d = lcm(*ds)
+    else:
+        d = _Poly((1,))
+        for e in ds:
+            e = (e,) if type(e) is int else e
+            g = _pgcd(d, e) if len(d) > 1 and len(e) > 1 else (1,)
+            d = d * _exquo(e, _pmul(g, (_igcd(*d, *e),)))
     return [x.numerator * (d // x.denominator) for x in xs], d
 
 
@@ -182,6 +202,45 @@ def _exquo(a, b):
     return q
 
 
+class _Poly(tuple):
+    """An integer polynomial, as above, with the ring operations of Z[eps].
+
+    ``+``, ``-`` and ``*`` also take ints; ``//`` is exact division, and a
+    remainder raises RuntimeError.  No gcd is taken.
+    """
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        return _Poly(_padd(self, (other,) if type(other) is int else other))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Poly(-c for c in self)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if type(other) is int:
+            return _Poly(c * other for c in self) if other else _Poly()
+        return _Poly(_pmul(self, other))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int):
+        if k < 0:
+            raise ValueError("negative power of a polynomial")
+        return _Poly(_ppow(self, k))
+
+    def __floordiv__(self, other):
+        return _Poly(_exquo(self, (other,) if type(other) is int else other))
+
+
 def _pstr(a, lead: int) -> str:
     """a / lead, printed with rational coefficients."""
     if not a:
@@ -263,6 +322,14 @@ class RatFun:
 
     def __bool__(self) -> bool:
         return bool(self.num)
+
+    @property
+    def numerator(self) -> _Poly:
+        return _Poly(self.num)
+
+    @property
+    def denominator(self) -> _Poly:
+        return _Poly(self.den)
 
     # -- arithmetic --------------------------------------------------------
 

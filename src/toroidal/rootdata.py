@@ -199,9 +199,6 @@ class RootDatum:
             rows[i][c] -= int(self.cartan[c, i])
         return Matrix(rows)
 
-    def reflection_on_cocharacters(self, i: int) -> Matrix:
-        return self._n_refl[i]
-
     def reflect_cocharacter(self, i: int, v):
         out = self._n_refl[i] @ tuple(v)
         return tuple(int(x) for x in out)

@@ -141,9 +141,9 @@ def _det_by_elimination(m: Matrix):
 def _ldu_by_division(g: Matrix):
     """The (lower, diagonal, upper) split of g by one division per entry and step.
 
-    The split of Fraction matrices before the fraction-free elimination,
-    kept as a reference; RatFun matrices still take this path in
-    ``Pinning.ldu``.
+    The split before the fraction-free elimination, kept as a reference:
+    Fraction matrices took this path until ``Pinning.ldu`` split them on
+    Python ints, and RatFun matrices until it split them on Z[eps].
     """
     n = g.nrows
     a = [list(r) for r in g.rows]
@@ -252,10 +252,10 @@ def _torus_translate_by_fractions(t_coords, p: ChartPoint) -> ChartPoint:
 
 
 class FractionKernels:
-    """The big-cell kernels before they computed over Q on ints, kept as references.
+    """The big-cell kernels before they computed on numerators and denominators.
 
-    Each is the generic body that still serves RatFun operands: it builds a
-    Fraction for every intermediate product and sum.
+    Each is the generic body that served both fields, kept as a reference:
+    it builds a Fraction or RatFun for every intermediate product and sum.
     """
 
     matmul = staticmethod(_matmul_by_fractions)

@@ -162,10 +162,14 @@ def test_membership_iff_leading_minors():
     assert misses > 0
 
 
-def _seeded_fraction_matrix(rng, n):
-    """Entries 0, small ints or fractions; a leading minor made to vanish at times."""
+def _seeded_fraction_matrix(rng, n, eps=False):
+    """Entries 0, small ints or fractions; a leading minor made to vanish at times.
 
-    def entry():
+    With ``eps``, each entry x becomes x + c*eps with c in -2..2, a RatFun
+    unless c is 0, so rows mix Fractions and RatFuns.
+    """
+
+    def rational():
         r = rng.random()
         if r < 0.15:
             return 0
@@ -174,6 +178,11 @@ def _seeded_fraction_matrix(rng, n):
         if r < 0.95:
             return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
         return Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**6))
+
+    def entry():
+        x = rational()
+        c = rng.randint(-2, 2) if eps else 0
+        return x + c * EPS if c else x
 
     rows = [[entry() for _ in range(n)] for _ in range(n)]
     if rng.random() < 0.35:
@@ -187,12 +196,15 @@ def _seeded_fraction_matrix(rng, n):
 
 
 def test_fraction_free_ldu_matches_division(ldu_by_division):
+    # 6000 matrices over Q, then 600 over Q(eps), where the elimination runs
+    # on integer polynomials
     pins = {n: pinning(n - 1) for n in range(2, 6)}
     rng = random.Random(20260)
-    inside = outside = 0
-    for _ in range(6000):
+    seen = {(eps, inside): 0 for eps in (False, True) for inside in (False, True)}
+    for k in range(6600):
         n = rng.randint(2, 5)
-        g = _seeded_fraction_matrix(rng, n)
+        eps = k >= 6000
+        g = _seeded_fraction_matrix(rng, n, eps)
         try:
             want, want_err = ldu_by_division(g), None
         except NotInBigCell as e:
@@ -204,15 +216,13 @@ def test_fraction_free_ldu_matches_division(ldu_by_division):
         assert got_err == want_err, g
         if want_err is None:
             assert got == want and repr(got) == repr(want), g
-            inside += 1
-        else:
-            outside += 1
-    assert inside > 2500 and outside > 2500
+        seen[eps, want_err is None] += 1
+    assert seen[False, True] > 2500 and seen[False, False] > 2500
+    assert seen[True, True] > 250 and seen[True, False] > 150
 
 
 def test_split_inverse_matches_gauss_jordan():
-    # over Q the entry types match too, so Pinning.ldu of the inverse takes
-    # the same fraction-free branch as it does on Matrix.inverse()
+    # over Q the entry types match too: every entry is a Fraction
     pins = {n: pinning(n - 1) for n in range(2, 6)}
     rng = random.Random(4471)
     done = {False: 0, True: 0}

@@ -6,14 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toroidal.linalg import _rational
 from toroidal.ratfun import (
     EPS,
     PoleAtZero,
     RatFun,
     _exquo,
     _gcdheu,
+    _padd,
     _pgcd,
     _pmul,
+    _Poly,
     _prs_gcd,
     _trim,
     evaluate_at_zero,
@@ -288,3 +291,53 @@ def test_integer_form_matches_fraction_oracle(fraction_ratfun):
         assert a + a == 2 * a and hash(a + a) == hash(2 * a)
         assert (a - c) + c == a
         assert -(-a) == a and (a * b) / b == a
+
+
+def _random_poly(rng, nonzero=False):
+    while True:
+        p = _Poly(_trim([rng.randint(-9, 9) for _ in range(rng.randint(0, 4))]))
+        if p or not nonzero:
+            return p
+
+
+def test_poly_ring_operations_match_the_tuple_helpers():
+    rng = random.Random(7)
+    for _ in range(300):
+        p, q = _random_poly(rng), _random_poly(rng)
+        k = rng.randint(-5, 5)
+        # an int factor multiplies, on either side: no tuple repetition
+        for got in (k * p, p * k):
+            assert type(got) is _Poly and got == _pmul(p, (k,) if k else ())
+        assert p * 0 == () and 0 * p == ()
+        assert p * q == _pmul(p, q) and type(p * q) is _Poly
+        assert p + q == _padd(p, q) and k + p == p + k == _padd(p, (k,))
+        assert p - q == _padd(p, tuple(-c for c in q))
+        assert k - p == _padd((k,), tuple(-c for c in p)) and p - k == _padd(p, (-k,))
+        assert p - p == () and type(p - q) is _Poly
+        assert p ** 0 == (1,) and p ** 3 == _pmul(p, _pmul(p, p))
+        if q:
+            assert (p * q) // q == p == _exquo(_pmul(p, q), q)
+            assert (p * 6) // 3 == p * 2
+
+
+def test_poly_division_with_a_remainder_raises():
+    p = _Poly((1, 1))
+    with pytest.raises(RuntimeError, match="remainder"):
+        _Poly((1, 0, 1)) // p
+    with pytest.raises(RuntimeError, match="remainder"):
+        p // 2
+    with pytest.raises(ValueError):
+        p ** -1
+
+
+def test_rational_of_numerator_and_denominator_is_the_ratfun():
+    rng = random.Random(8)
+    for _ in range(300):
+        r = RatFun(_random_poly(rng)) / RatFun(_random_poly(rng, nonzero=True))
+        assert type(r.numerator) is _Poly and type(r.denominator) is _Poly
+        got = _rational(r.numerator, r.denominator)
+        assert type(got) is RatFun and got == r and repr(got) == repr(r)
+        assert type(got.num) is tuple and type(got.den) is tuple
+        # a scaled quotient reduces to the same canonical form
+        k = rng.choice((-3, 2, 5))
+        assert _rational(r.numerator * k, r.denominator * k) == r

@@ -1,11 +1,12 @@
-"""The big-cell kernels over Q against their Fraction-arithmetic references.
+"""The big-cell kernels against their Fraction-arithmetic references.
 
-Over Q the kernels compute on numerators and denominators and build one
-Fraction per output entry; the references in ``conftest.FractionKernels``
-build one for every intermediate product and sum.  Both must give the same
-values of the same type, and the kernels must hand out the shared Fraction
-for every integer in -64..64.  Any RatFun operand sends a kernel down the
-reference body, so mixed input must print as the reference does.
+The kernels compute on numerators and denominators and build one entry per
+output; the references in ``conftest.FractionKernels`` build a Fraction or
+RatFun for every intermediate product and sum.  Over Q both must give the
+same values of the same type, and the kernels must hand out the shared
+Fraction for every integer in -64..64.  A RatFun operand brings integer
+polynomials to the same kernel body, so Q(eps) input, all RatFun or mixed
+with Fractions, must give the reference's values and print as it does.
 """
 
 import random
@@ -48,6 +49,16 @@ def _mixed_scalar(rng, nonzero=False):
     """A Fraction or, one time in three, a RatFun with a nonzero eps term."""
     x = _scalar(rng, nonzero)
     return x + rng.choice((1, -2)) * EPS if rng.randrange(3) == 0 else x
+
+
+def _eps_scalar(rng, nonzero=False):
+    """A RatFun x + c*eps, c in -2..2, one time in three divided by y + eps."""
+    while True:
+        x = _scalar(rng) + rng.randint(-2, 2) * EPS
+        if rng.randrange(3) == 0:
+            x = x / (_scalar(rng, nonzero=True) + EPS)
+        if x or not nonzero:
+            return x
 
 
 def _general(rng, n, scalar=_scalar):
@@ -174,3 +185,47 @@ def test_mixed_operands_print_as_the_reference(fraction_kernels):
         t = tuple(_mixed_scalar(rng, nonzero=True) for _ in range(2))
         assert repr(torus_translate(t, p)) == repr(fraction_kernels.torus_translate(t, p))
     assert any(isinstance(v, RatFun) for v in torus_translate((EPS, 1), p).values.values())
+
+
+def _same_value_and_repr(got, want):
+    assert got == want and repr(got) == repr(want), (got, want)
+
+
+def test_ratfun_operands_match_the_reference(fraction_kernels):
+    rng = random.Random(5)
+    for n in (1, 2, 3, 4):
+        for _ in range(12):
+            a, b = _general(rng, n, _eps_scalar), _general(rng, n, _eps_scalar)
+            assert all(isinstance(x, RatFun) for r in a.rows for x in r)
+            _same_value_and_repr(a @ b, fraction_kernels.matmul(a, b))
+            for lower in (True, False):
+                u = _unitriangular(rng, n, lower, _eps_scalar)
+                v = _unitriangular(rng, n, lower, _eps_scalar)
+                _same_value_and_repr(
+                    unitriangular_product(u, v, lower),
+                    fraction_kernels.unitriangular_product(u, v, lower),
+                )
+                _same_value_and_repr(
+                    unitriangular_inverse(u, lower), fraction_kernels.unitriangular_inverse(u, lower)
+                )
+            d = tuple(_eps_scalar(rng, nonzero=True) for _ in range(n))
+            d_inv = tuple(1 / x for x in d)
+            g = _general(rng, n, _eps_scalar)
+            _same_value_and_repr(
+                conjugate_diagonal(d, d_inv, g), fraction_kernels.conjugate_diagonal(d, d_inv, g)
+            )
+            lower = _unitriangular(rng, n, True, _eps_scalar)
+            upper = _unitriangular(rng, n, False, _eps_scalar)
+            diag = Matrix.diagonal(d)
+            _same_value_and_repr(
+                split_inverse(lower, diag, upper), fraction_kernels.split_inverse(lower, diag, upper)
+            )
+    for _ in range(300):
+        a, b, c = _eps_scalar(rng), _eps_scalar(rng), _eps_scalar(rng)
+        _same_value_and_repr(_plus_times(a, b, c), fraction_kernels.plus_times(a, b, c))
+    for rank in (1, 2, 3):
+        for p in _chart_points(rng, rank):
+            t = tuple(_eps_scalar(rng, nonzero=True) for _ in range(rank))
+            p = fraction_kernels.torus_translate(t, p)
+            t = tuple(_eps_scalar(rng, nonzero=True) for _ in range(rank))
+            _same_value_and_repr(torus_translate(t, p), fraction_kernels.torus_translate(t, p))

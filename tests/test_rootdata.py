@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toroidal.linalg import Matrix
 from toroidal.rootdata import NotFiniteType, RootDatum, cartan_matrix_of_type
 
 
@@ -106,11 +105,14 @@ def test_weyl_elements_act_consistently():
 
 def test_word_convention_left_to_right():
     rd = RootDatum.of_type("A", 2)
+    # n_matrix is the product of the letters' reflections, leftmost first:
+    # applied to a cocharacter, the rightmost letter acts first
     for w in rd.weyl.elements:
-        acc = Matrix.identity(2)
-        for j in w.word:
-            acc = acc @ rd.reflection_on_cocharacters(j)
-        assert acc == w.n_matrix
+        for v in [(1, 0), (0, 1)]:
+            acc = v
+            for j in reversed(w.word):
+                acc = rd.reflect_cocharacter(j, acc)
+            assert acc == tuple(w.n_matrix @ v)
 
 
 @settings(max_examples=60, deadline=None)
