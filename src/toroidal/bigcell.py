@@ -34,7 +34,7 @@ from .charts import (
     ChartPoint,
     _as_scalar,
     _monomial,
-    _power,
+    _times_powers,
     identity_point,
     limit_point,
     specialize_at_zero,
@@ -250,7 +250,7 @@ class Calculus:
             # the simple coroot alpha_i^vee is the i-th unit vector
             for h, v in values.items():
                 if h[i]:
-                    values[h] = _as_scalar(_power(scalar, h[i]) * v)
+                    values[h] = _as_scalar(_times_powers(v, ((scalar, h[i]),)))
             # x_{alpha_i}(-x/D) times x_{alpha_i}(-y) u^+, conjugated by n_i
             if y:
                 _add_row(up, ra, ca, -y)

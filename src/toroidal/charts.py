@@ -7,6 +7,13 @@ constructors preserve the monoid-map invariant structurally.  A raw value
 map is accepted exactly when it extends to a monoid map: its nonzero
 support is the set of Hilbert elements of one face of the dual cone, and
 its values there satisfy a lattice basis of the relations among them.
+
+Every map that changes a value multiplies it by a character value
+prod b_k ** e_k: a torus point, a torus translation, a coweight twist, the
+coordinates of a torus point and the scaling of a reflection sweep.  One
+kernel, ``_times_powers``, computes each such product on numerators and
+denominators and builds it once through ``linalg._rational``, so the same
+body serves Q and Q(eps) (Fulton, *Introduction to Toric Varieties*, 1.3).
 """
 
 from __future__ import annotations
@@ -67,36 +74,56 @@ def _as_scalar(x):
     raise TypeError(f"unsupported scalar {x!r}")
 
 
-def _power(base, k: int):
-    if k == 0:
-        return Fraction(1)
-    if base == 0:
-        if k < 0:
-            raise ZeroScalar("zero cannot be raised to a negative power")
-        return Fraction(0)
-    return base ** k
+def _times_powers(v, pairs):
+    """v times the product of b ** e over the (b, e) pairs (0 ** 0 = 1).
+
+    The one kernel for a chart value times a character value: powers and
+    products are taken on numerators and denominators, and the result is
+    built once by ``linalg._rational``, a Fraction over Q and a RatFun when
+    v, or a base with a nonzero exponent, is one.  A zero base with a
+    negative exponent raises ZeroScalar; otherwise a zero v or a zero base
+    makes the product zero, with no further power taken, and that zero is a
+    RatFun when one of the factors is.
+    """
+    n, d = v.numerator, v.denominator
+    pairs = iter(pairs)
+    if n:
+        for b, e in pairs:
+            if e > 0:
+                bn = b.numerator
+                if not bn:
+                    n *= bn
+                    break
+                n, d = n * bn ** e, d * b.denominator ** e
+            elif e < 0:
+                bn = b.numerator
+                if not bn:
+                    raise ZeroScalar("zero cannot be raised to a negative power")
+                n, d = n * b.denominator ** -e, d * bn ** -e
+        else:
+            return _rational(n, d)
+    # the product is zero: n is a polynomial if a factor so far was a RatFun,
+    # and a pair left may still refuse or be a RatFun
+    ratfun = type(n) is not int
+    for b, e in pairs:
+        if e:
+            if e < 0 and not b:
+                raise ZeroScalar("zero cannot be raised to a negative power")
+            ratfun = ratfun or isinstance(b, RatFun)
+    return RatFun._raw((), (1,)) if ratfun else _rational(0, 1)
 
 
 def _monomial(values, exponents):
-    """The product of values[h] ** e over the pairs (h, e) (0^0 = 1).
+    """The product of values[h] ** e over the pairs (h, e), by ``_times_powers``.
 
-    A zero value with a negative exponent raises ZeroScalar; otherwise a zero
-    value with a positive exponent makes the product zero, with no power of
-    the other values taken.  That zero is a RatFun when one of the factors
-    is, as the product would be.
+    A zero value is passed as the scale as well, so that a zero product
+    takes no power of the other values.
     """
-    factors = [(values[h], e) for h, e in exponents if e]
-    for v, _ in factors:
-        if not v:
-            if any(e < 0 for v, e in factors if not v):
-                raise ZeroScalar("zero cannot be raised to a negative power")
-            return RatFun(0) if any(isinstance(v, RatFun) for v, _ in factors) else Fraction(0)
-    if not factors:
-        return Fraction(1)
-    out = factors[0][0] ** factors[0][1]
-    for v, e in factors[1:]:
-        out = out * v ** e
-    return out
+    pairs = [(values[h], e) for h, e in exponents if e]
+    for b, _ in pairs:
+        if not b:
+            return _times_powers(b, pairs)
+    return _times_powers(1, pairs)
 
 
 class ChartPoint:
@@ -163,18 +190,8 @@ def torus_point(coords, cone: Cone) -> ChartPoint:
         raise ValueError("coordinate count must match the lattice rank")
     if any(c == 0 for c in coords):
         raise ZeroCoordinate("torus coordinates must be nonzero")
-    values = {
-        h: _character_value(coords, h) for h in cone.hilbert_basis
-    }
+    values = {h: _times_powers(1, zip(coords, h)) for h in cone.hilbert_basis}
     return ChartPoint._trusted(cone, values)
-
-
-def _character_value(coords, m):
-    out = Fraction(1)
-    for c, e in zip(coords, m):
-        if e:
-            out = out * _power(c, int(e))
-    return out
 
 
 def identity_point(cone: Cone) -> ChartPoint:
@@ -200,25 +217,11 @@ def evaluate_character(p: ChartPoint, m):
 
 
 def torus_translate(t_coords, p: ChartPoint) -> ChartPoint:
-    """The point t . p: the value at h is multiplied by h(t).
-
-    Each new value is one ``linalg._rational`` built from the numerators
-    and denominators of t and of the old value, on both fields.
-    """
+    """The point t . p: the value at h is multiplied by h(t)."""
     t_coords = [_as_scalar(c) for c in t_coords]
     if any(c == 0 for c in t_coords):
         raise ZeroCoordinate("translation by a non-invertible point")
-    t = [(c.numerator, c.denominator) for c in t_coords]
-    values = {}
-    for h, v in p.values.items():
-        n, d = v.numerator, v.denominator
-        if n:
-            for (cn, cd), e in zip(t, h):
-                if e > 0:
-                    n, d = n * cn ** e, d * cd ** e
-                elif e < 0:
-                    n, d = n * cd ** -e, d * cn ** -e
-        values[h] = _rational(n, d)
+    values = {h: _times_powers(v, zip(t_coords, h)) for h, v in p.values.items()}
     return ChartPoint._trusted(p.cone, values)
 
 
@@ -228,9 +231,7 @@ def coweight_scale(p: ChartPoint, delta, scalar) -> ChartPoint:
     if scalar == 0:
         raise ZeroScalar("coweight scaling needs an invertible scalar")
     delta = tuple(int(x) for x in delta)
-    values = {
-        h: _power(scalar, dot(h, delta)) * v for h, v in p.values.items()
-    }
+    values = {h: _times_powers(v, ((scalar, dot(h, delta)),)) for h, v in p.values.items()}
     return ChartPoint._trusted(p.cone, values)
 
 
@@ -296,9 +297,7 @@ def torus_coordinates(p: ChartPoint):
         e_j = tuple(1 if k == j else 0 for k in range(cone.dim))
         k = _torus_shift(e_j, w, cone.rays)
         shifted = tuple(e_j[t] + k * w[t] for t in range(cone.dim))
-        val = evaluate_character(p, shifted)
-        if k:
-            val = val / _power(w_val, k)
+        val = _times_powers(evaluate_character(p, shifted), ((w_val, -k),))
         if val == 0:
             raise ZeroScalar("point is not in the torus")
         coords.append(val)

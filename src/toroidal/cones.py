@@ -235,10 +235,12 @@ class Cone:
     def _splitting(self):
         """Quotient data splitting the dual monoid off its unit group.
 
-        Returns (group_basis, quotient, lift, facets, extreme, q_dim) where
-        group_basis are the d unit directions, quotient and lift map
-        between the lattice and the q_dim quotient coordinates, and the
-        facet normals / extreme rays describe the pointed image.
+        Returns (group_basis, unit_rows, quotient, lift, facets, extreme,
+        q_dim) where group_basis are the d unit directions, unit_rows the
+        first d rows of the unimodular W that maps x to its coordinates
+        (unit group first), quotient and lift map between the lattice and the
+        q_dim quotient coordinates, and the facet normals / extreme rays
+        describe the pointed image.
         """
         if self._hilbert_split is not None:
             return self._hilbert_split
@@ -267,6 +269,7 @@ class Cone:
             w = Matrix.identity(n)
             w_inv = w
             group_basis = ()
+        unit_rows = tuple(tuple(int(x) for x in w.rows[i]) for i in range(d))
         q_dim = n - d
 
         def quotient(x):
@@ -282,13 +285,13 @@ class Cone:
         # unit group; the dual rays map onto the extreme rays of the image
         facets = tuple(sorted({primitive_vector((r @ w_inv)[d:]) for r in self.rays}))
         extreme = tuple(sorted({primitive_vector(quotient(g)) for g in self.dual_rays}))
-        self._hilbert_split = (group_basis, quotient, lift, facets, extreme, q_dim)
+        self._hilbert_split = (group_basis, unit_rows, quotient, lift, facets, extreme, q_dim)
         return self._hilbert_split
 
     @property
     def hilbert_basis(self):
         if self._hilbert is None:
-            group_basis, _, lift, facets, extreme, q_dim = self._splitting()
+            group_basis, _, _, lift, facets, extreme, q_dim = self._splitting()
             elems = []
             for b in group_basis:
                 elems.append(b)
@@ -315,7 +318,7 @@ class Cone:
         for r in self.rays:
             if dot(m, r) < 0:
                 raise NotInMonoid(f"{m} pairs negatively with ray {r}")
-        group_basis, quotient, lift, facets, extreme, q_dim = self._splitting()
+        group_basis, unit_rows, quotient, _, facets, _, q_dim = self._splitting()
         hb = self.hilbert_basis
         coeffs = {h: 0 for h in hb}
         if q_dim:
@@ -332,19 +335,14 @@ class Cone:
             rem = tuple(a - b for a, b in zip(m, lifted_part))
         else:
             rem = m
-        # the remainder lies in the unit group spanned by group_basis
-        if group_basis:
-            bmat = Matrix([list(b) for b in group_basis]).transpose()
-            sol = _solve_integer(bmat, rem)
-            if sol is None:
-                raise NotInMonoid(f"{m} is not in the dual monoid lattice")
-            for b, k in zip(group_basis, sol):
-                if k >= 0:
-                    coeffs[b] += k
-                else:
-                    coeffs[tuple(-x for x in b)] += -k
-        elif any(rem):
-            raise NotInMonoid(f"{m} is not in the dual monoid")
+        # quotient(rem) = 0, so rem lies in the unit group: its coordinates
+        # over group_basis are the first d coordinates of W rem
+        for b, row in zip(group_basis, unit_rows):
+            k = dot(row, rem)
+            if k >= 0:
+                coeffs[b] += k
+            else:
+                coeffs[tuple(-x for x in b)] += -k
         if _weighted_sum(coeffs, self.dim) != m:
             raise RuntimeError(f"decomposition of {m} does not sum back to it")
         self._decomposed[m] = tuple(coeffs.items())
@@ -394,23 +392,6 @@ def _weighted_sum(coeffs, dim):
         for k in range(dim):
             total[k] += c * h[k]
     return tuple(total)
-
-
-def _solve_integer(mat: Matrix, target):
-    """Integer solution x of mat @ x = target, or None."""
-    if mat.ncols == 0:
-        return () if not any(target) else None
-    k = mat.ncols
-    rows = [[Fraction(x) for x in r] + [Fraction(t)] for r, t in zip(mat.rows, target)]
-    piv_cols = _gauss_jordan(rows, k)
-    if any(r[k] for r in rows[len(piv_cols):]):
-        return None
-    x = [Fraction(0)] * k
-    for r, col in enumerate(piv_cols):
-        x[col] = rows[r][k]
-    if any(v.denominator != 1 for v in x):
-        return None
-    return tuple(int(v) for v in x)
 
 
 def _pointed_hilbert(facets, extreme, dim):

@@ -13,9 +13,9 @@ from toroidal.bigcell import DomainReport, MixedPoint, OutsideVi
 from toroidal.chevalley import NotInBigCell
 from toroidal.charts import (
     ChartPoint,
+    ZeroScalar,
     _as_scalar,
-    _character_value,
-    _power,
+    _torus_shift,
     coweight_scale,
     evaluate_character,
 )
@@ -49,7 +49,7 @@ def _splitting_by_double_description(cone: Cone):
     are projected to the quotient, dualized to get the facet normals, and
     dualized again to get the extreme rays.
     """
-    _, quotient, _, _, _, q_dim = cone._splitting()
+    _, _, quotient, _, _, _, q_dim = cone._splitting()
     if not q_dim:
         return (), ()
     projected = [quotient(g) for g in cone.dual_rays]
@@ -245,6 +245,30 @@ def _split_inverse_by_fractions(lower: Matrix, diag: Matrix, upper: Matrix) -> M
     return _matmul_by_fractions(_unitriangular_inverse_by_fractions(upper, lower=False), scaled)
 
 
+def _power(base, k: int):
+    """base ** k, with 0 ** 0 = 1; a zero base with a negative exponent raises."""
+    if k == 0:
+        return Fraction(1)
+    if base == 0:
+        if k < 0:
+            raise ZeroScalar("zero cannot be raised to a negative power")
+        return Fraction(0)
+    return base ** k
+
+
+def _character_value(coords, m):
+    """The character m at the torus point coords, one power after another.
+
+    With ``_power``, the product ``charts`` took before one kernel computed
+    every value times a character, kept as a reference.
+    """
+    out = Fraction(1)
+    for c, e in zip(coords, m):
+        if e:
+            out = out * _power(c, int(e))
+    return out
+
+
 def _torus_translate_by_fractions(t_coords, p: ChartPoint) -> ChartPoint:
     t_coords = [_as_scalar(c) for c in t_coords]
     values = {h: _character_value(t_coords, h) * v for h, v in p.values.items()}
@@ -278,6 +302,38 @@ def _monomial_by_powers(values, exponents):
         if e:
             out = out * _power(values[h], e)
     return out
+
+
+def _torus_coordinates_by_powers(p: ChartPoint):
+    """``charts.torus_coordinates`` dividing by the power w(p) ** k, kept as a reference."""
+    cone = p.cone
+    w = tuple(sum(g[k] for g in cone.dual_rays) for k in range(cone.dim))
+    w_val = evaluate_character(p, w)
+    if w_val == 0:
+        raise ZeroScalar("point is not in the torus")
+    coords = []
+    for j in range(cone.dim):
+        e_j = tuple(1 if k == j else 0 for k in range(cone.dim))
+        k = _torus_shift(e_j, w, cone.rays)
+        val = evaluate_character(p, tuple(e_j[t] + k * w[t] for t in range(cone.dim)))
+        if k:
+            val = val / _power(w_val, k)
+        if val == 0:
+            raise ZeroScalar("point is not in the torus")
+        coords.append(val)
+    return tuple(coords)
+
+
+class PowerLoops:
+    """The chart maps before one kernel computed a value times a character.
+
+    Each takes one power after another with ``_power``, kept as a reference.
+    """
+
+    power = staticmethod(_power)
+    character_value = staticmethod(_character_value)
+    monomial = staticmethod(_monomial_by_powers)
+    torus_coordinates = staticmethod(_torus_coordinates_by_powers)
 
 
 @functools.cache
@@ -817,8 +873,8 @@ def fraction_kernels():
 
 
 @pytest.fixture(scope="session")
-def monomial_by_powers():
-    return _monomial_by_powers
+def power_loops():
+    return PowerLoops
 
 
 @pytest.fixture(scope="session")

@@ -13,6 +13,7 @@ from toroidal.bigcell import (
 )
 from toroidal.catalog import chamber_cones
 from toroidal.charts import (
+    evaluate_character,
     identity_point,
     in_closed_orbit,
     limit_point,
@@ -181,6 +182,58 @@ def test_sweep_matches_coordinate_oracle_letter_by_letter(reflect_simple_by_coor
                         assert info.value.report == report
                         refused += 1
     assert agreed > 250 and refused > 250, (agreed, refused)
+
+
+P = 10007
+
+
+def _entries(p: MixedPoint):
+    values = [v for _, v in sorted(p.chart.values.items())]
+    return [x for r in p.u_minus.rows + p.u_plus.rows for x in r] + values
+
+
+def test_reflect_simple_agrees_mod_p_letter_by_letter():
+    # base change Z_(p) -> F_p: points with p-integral coordinates a and
+    # a + p * delta (delta with a p-unit denominator), folded through the
+    # longest word one letter at a time, stay p-integral and congruent mod p
+    # wherever the denominator D = (-alpha_i)(t) + x y is a p-unit at a
+    rng = random.Random(P)
+    checked = skipped = 0
+    for rank in (1, 2, 3):
+        calc = Calculus(RootDatum.of_type("A", rank))
+        pin, rd = calc.pinning, calc.rd
+        neg, pos = pin.negative_order, pin.positive_order
+        for cone in chamber_cones(rd):
+            for face in cone.faces():
+                delta = (0,) * rank if face.is_zero() else interior_cocharacter(face)
+                chart = limit_point(delta, cone)
+                for _ in range(2):
+                    a = [Fraction(rng.randint(-2, 2)) for _ in neg + pos]
+                    a += [Fraction(rng.choice([-2, -1, 1, 2, 3])) for _ in range(rank)]
+                    points = []
+                    for shift in (0, P):
+                        c = [x + shift * Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for x in a]
+                        um = pin.unipotent_product(neg, c[: len(neg)])
+                        up = pin.unipotent_product(pos, c[len(neg) : -rank])
+                        points.append(MixedPoint(um, torus_translate(c[-rank:], chart), up))
+                    for i in reversed(calc.longest_word):
+                        q = points[0]
+                        a_i = rd.simple_root(i)
+                        minus_a_i = tuple(-x for x in a_i)
+                        x = pin.coordinate_at(q.u_minus, minus_a_i)
+                        y = pin.coordinate_at(q.u_plus, a_i)
+                        if (evaluate_character(q.chart, minus_a_i) + x * y).numerator % P == 0:
+                            # D = 0 at a: the small inputs reach no other multiple of p
+                            with pytest.raises(OutsideVi):
+                                calc.reflect_simple(q, i)
+                            skipped += 1
+                            break
+                        points = [calc.reflect_simple(q, i) for q in points]
+                        for e0, e1 in zip(*map(_entries, points)):
+                            assert e0.denominator % P and e1.denominator % P, (e0, e1)
+                            assert (e0 - e1).numerator % P == 0, (e0, e1)
+                        checked += 1
+    assert checked > 300 and skipped > 50, (checked, skipped)
 
 
 def _scalars(rng):

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from toroidal.catalog import cone_catalog
 from toroidal.charts import (
     ChartPoint,
+    _as_scalar,
     _monomial,
+    _times_powers,
     _torus_shift,
     InvalidChartValues,
     LimitDoesNotExist,
@@ -179,11 +181,17 @@ def test_evaluate_character_is_multiplicative():
         ) * evaluate_character(p, m2)
 
 
-def test_monomial_matches_the_power_loop(monomial_by_powers):
+def _same_scalar(got, want):
+    assert got == want and repr(got) == repr(want) and type(got) is type(want)
+
+
+def test_monomial_matches_the_power_loop(power_loops):
+    # _monomial, and _times_powers with a scale v that may be 0 or a RatFun,
+    # against the product of one power after another
     rng = random.Random(9)
     pool = [Fraction(0), Fraction(1), Fraction(-2), Fraction(3, 5), Fraction(-7, 4)]
     eps_pool = [1 + EPS, EPS, 2 - 3 * EPS, EPS / (1 + EPS)]
-    zeros = 0
+    zeros = refusals = 0
     for eps in (False, True):
         for _ in range(400):
             values = {
@@ -191,16 +199,60 @@ def test_monomial_matches_the_power_loop(monomial_by_powers):
                 for h in range(4)
             }
             exponents = [(h, rng.randint(-3, 5)) for h in range(4) if rng.randrange(4)]
+            v = rng.choice(eps_pool) if eps and rng.randrange(2) else rng.choice(pool)
+            pairs = [(values[h], e) for h, e in exponents]
             try:
-                want = monomial_by_powers(values, exponents)
+                want = power_loops.monomial(values, exponents)
             except ZeroScalar as e:
                 with pytest.raises(ZeroScalar, match=f"^{e}$"):
                     _monomial(values, exponents)
+                with pytest.raises(ZeroScalar, match=f"^{e}$"):
+                    _times_powers(v, pairs)
+                refusals += 1
                 continue
-            got = _monomial(values, exponents)
-            assert got == want and repr(got) == repr(want) and type(got) is type(want)
-            zeros += got == 0
-    assert zeros > 100
+            _same_scalar(_monomial(values, exponents), want)
+            _same_scalar(_times_powers(v, pairs), v * want)
+            zeros += v * want == 0
+    assert zeros > 200 and refusals > 100
+
+
+def _mixed(rng):
+    """A nonzero Fraction, or a RatFun that is not constant."""
+    if rng.randrange(3):
+        return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 5]))
+    return rng.choice([1 + EPS, 2 - 3 * EPS, EPS / (1 + EPS), -EPS])
+
+
+def test_chart_maps_match_the_power_loops(power_loops):
+    # torus_point, coweight_scale and torus_coordinates on torus and boundary
+    # points of the catalog cones, against their forms that took one power
+    # after another
+    rng = random.Random(19)
+    checked = 0
+    for cone in cone_catalog():
+        delta = (0,) * cone.dim if cone.is_zero() else interior_cocharacter(cone)
+        for _ in range(4):
+            coords = tuple(_mixed(rng) for _ in range(cone.dim))
+            p = torus_point(coords, cone)
+            want = ChartPoint._trusted(
+                cone, {h: power_loops.character_value(coords, h) for h in cone.hilbert_basis}
+            )
+            assert p == want and repr(p) == repr(want)
+            for h in cone.hilbert_basis:
+                assert type(p.values[h]) is type(want.values[h])
+            for got, want in zip(torus_coordinates(p), power_loops.torus_coordinates(p)):
+                _same_scalar(got, want)
+            scalar = _mixed(rng)
+            twist = tuple(rng.randint(-3, 3) for _ in range(cone.dim))
+            for q in (p, torus_translate(coords, limit_point(delta, cone))):
+                got = coweight_scale(q, twist, scalar)
+                for h, v in q.values.items():
+                    _same_scalar(
+                        got.values[h],
+                        _as_scalar(power_loops.power(scalar, dot(h, twist)) * v),
+                    )
+            checked += 1
+    assert checked > 40
 
 
 def test_torus_translate_matches_coordinate_product():

@@ -131,7 +131,7 @@ def test_closed_forms_match_double_description(
         cone = Cone(rays, dim)
         assert cone.rays == expected
         assert cone.rays == generators_from_halfspaces(cone.dual_generators(), dim)[0]
-        _, _, _, facets, extreme, _ = cone._splitting()
+        _, _, _, _, facets, extreme, _ = cone._splitting()
         oracle_facets, oracle_extreme = splitting_by_double_description(cone)
         assert set(facets) == set(oracle_facets)
         assert set(extreme) == set(oracle_extreme)
@@ -177,7 +177,7 @@ def test_degree_sieve_matches_pairwise_sieve(pointed_hilbert_by_pairs):
             cone = Cone([r for r in rays if any(r)], dim)
         except ValueError:
             continue
-        _, _, _, facets, extreme, q = cone._splitting()
+        _, _, _, _, facets, extreme, q = cone._splitting()
         sides = [sum(abs(r[k]) for r in extreme) + 1 for k in range(q)]
         if not q or math.prod(sides) > 1500:
             continue
@@ -278,8 +278,8 @@ def test_monoid_decompose_deep_target_has_no_recursion_limit():
 def test_monoid_decompose_certifies_its_sum(monkeypatch):
     import toroidal.cones as cones
 
-    # a unit-group solver that drops its solution
-    monkeypatch.setattr(cones, "_solve_integer", lambda mat, target: (0,) * mat.ncols)
+    # a pointed decomposition that drops its solution
+    monkeypatch.setattr(cones, "_pointed_decompose", lambda target, gens, facets: (0,) * len(gens))
     with pytest.raises(RuntimeError, match="does not sum back"):
         Cone([(1, 0)], dim=2).monoid_decompose((1, 5))
 
