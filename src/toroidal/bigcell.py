@@ -22,6 +22,13 @@ entries below (above) the diagonal; that leaves four general products per
 action, each an upper times a lower unitriangular matrix.  The action reads
 g2^{-1} off the split of g2 that its membership check already computes,
 with one more such product (``chevalley.split_inverse``).
+
+The scalars the sweep and the action form themselves, D = (-alpha_i)(t) +
+x y and the multipliers -y/D and -x/D of each letter, the reciprocals of
+the ``ldu`` diagonals (``_diagonal``) and the products of two diagonals
+(``Pinning.diagonal_coordinates``), are computed on numerators and
+denominators and built once each by ``linalg._rational``: one Fraction over
+Q, one RatFun over Q(eps), from one body.
 """
 
 from __future__ import annotations
@@ -55,7 +62,7 @@ from .chevalley import (
     split_inverse,
 )
 from .cones import Cone, interior_cocharacter
-from .linalg import Matrix, _share, unitriangular_inverse, unitriangular_product
+from .linalg import Matrix, _rational, unitriangular_inverse, unitriangular_product
 from .ratfun import evaluate_at_zero
 from .rootdata import RootDatum
 
@@ -99,9 +106,20 @@ class OutsideVi(OutsideDomain):
 
 
 def _diagonal(d: Matrix):
-    """The diagonal entries of d and their reciprocals."""
+    """The diagonal entries of d and their reciprocals, each one ``_rational``."""
     entries = tuple(d.rows[k][k] for k in range(d.nrows))
-    return entries, tuple(_share(1 / x) for x in entries)
+    return entries, tuple(_rational(x.denominator, x.numerator) for x in entries)
+
+
+def _sweep_denominator(chi, x, y):
+    """D = chi + x y, one ``_rational`` from numerators and denominators."""
+    cd, xd, yd = chi.denominator, x.denominator, y.denominator
+    return _rational(chi.numerator * xd * yd + x.numerator * y.numerator * cd, cd * xd * yd)
+
+
+def _minus_over(a, d):
+    """-a / d for d != 0, one ``_rational`` from numerators and denominators."""
+    return _rational(-a.numerator * d.denominator, a.denominator * d.numerator)
 
 
 def _is_unitriangular(rows, lower: bool) -> bool:
@@ -231,8 +249,8 @@ class Calculus:
             x = um[r][c]
             y = up[ra][ca]
             chi = _monomial(values, cone.monoid_decompose(minus_a_i).items())
-            d = chi + x * y
-            if d == 0:
+            d = _sweep_denominator(chi, x, y)
+            if not d:
                 raise OutsideVi(
                     DomainReport(
                         "reflect_simple",
@@ -245,7 +263,7 @@ class Calculus:
                 _add_column(um, r, c, -x)
             um = _signed_rows(perm, um)
             if y:
-                _add_column(um, r, c, -y / d)
+                _add_column(um, r, c, _minus_over(y, d))
             scalar = _as_scalar(d)
             # the simple coroot alpha_i^vee is the i-th unit vector
             for h, v in values.items():
@@ -256,7 +274,7 @@ class Calculus:
                 _add_row(up, ra, ca, -y)
             up = _signed_rows(perm, up)
             if x:
-                _add_row(up, ra, ca, -x / d)
+                _add_row(up, ra, ca, _minus_over(x, d))
         return MixedPoint(
             Matrix._of(tuple(um)), ChartPoint._trusted(cone, values), Matrix._of(tuple(up))
         )
@@ -319,9 +337,7 @@ class Calculus:
         l1, d1, r1 = self._ldu(u_plus @ um0_inv, "reorder", "u+ (u0-)^{-1} in the big cell")
         l2, d2, r2 = self._ldu(up0_inv @ u_minus, "reorder", "(u0+)^{-1} u- in the big cell")
         (d1, d1_inv), (d2, d2_inv) = _diagonal(d1), _diagonal(d2)
-        mid = torus_translate(
-            pin.diagonal_coordinates([x * y for x, y in zip(d1, d2)]), chart
-        )
+        mid = torus_translate(pin.diagonal_coordinates(d1, d2), chart)
         q = self.reflect_longest(
             MixedPoint(
                 conjugate_diagonal(d1, d1_inv, um0),
@@ -365,9 +381,7 @@ class Calculus:
         l2, dd2, r2 = self._ldu(p.u_plus @ h2m, "act", "u+ g2hat- in the big cell")
         (dd1, dd1_inv), (dd2, dd2_inv) = _diagonal(dd1), _diagonal(dd2)
         (d1g, d1g_inv), (d2g, d2g_inv) = _diagonal(d1g), _diagonal(d2g)
-        mid = torus_translate(
-            pin.diagonal_coordinates([x * y for x, y in zip(dd1, dd2)]), p.chart
-        )
+        mid = torus_translate(pin.diagonal_coordinates(dd1, dd2), p.chart)
         r = self.reorder(
             conjugate_diagonal(dd1, dd1_inv, r1),
             mid,
@@ -380,9 +394,7 @@ class Calculus:
             ),
             lower=True,
         )
-        new_chart = torus_translate(
-            pin.diagonal_coordinates([x * y for x, y in zip(d1g, d2g)]), r.chart
-        )
+        new_chart = torus_translate(pin.diagonal_coordinates(d1g, d2g), r.chart)
         new_up = unitriangular_product(
             conjugate_diagonal(
                 d2g_inv, d2g, unitriangular_product(r.u_plus, r2, lower=False)

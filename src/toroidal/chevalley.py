@@ -18,12 +18,12 @@ is applied without a dense product:
   of g (``conjugate_signed``);
 - a diagonal factor D from ``ldu``: ``D g D^{-1}`` scales entry (a, b) by
   d_a / d_b (``conjugate_diagonal``), and ``diagonal_coordinates`` reads
-  torus coordinates off diagonal entries, so a product of diagonals is
-  entrywise.
+  torus coordinates off the entrywise product of one or more diagonals.
 
 These operations compute on numerators and denominators: ``_plus_times``
-(behind the row and column operations), ``conjugate_diagonal`` and the row
-scaling of ``split_inverse`` build one entry per output with
+(behind the row and column operations), ``conjugate_diagonal``, the row
+scaling of ``split_inverse`` and the running products of
+``diagonal_coordinates`` build one entry per output with
 ``linalg._rational``, a Fraction from ints over Q and a RatFun from the
 integer polynomials of ``ratfun._Poly`` over Q(eps), in one body for both
 fields.  ``Pinning.ldu`` clears each row of denominators, over Z or
@@ -355,14 +355,26 @@ class Pinning:
                     raise ValueError("matrix is not diagonal")
         return self.diagonal_coordinates([g[i, i] for i in range(n)])
 
-    def diagonal_coordinates(self, diag):
-        """Fundamental-weight coordinates of diag(diag), of determinant 1."""
+    def diagonal_coordinates(self, *diags):
+        """Fundamental-weight coordinates of the product of the diag(d), of determinant 1.
+
+        Coordinate k is the product of the first k + 1 diagonal entries of
+        every d, formed on numerators and denominators from coordinate
+        k - 1, with one ``_rational`` per coordinate and one for the
+        determinant.
+        """
+        rank = self.rd.rank
         coords = []
-        acc = Fraction(1)
-        for i in range(self.rd.rank):
-            acc = acc * diag[i]
-            coords.append(acc)
-        if acc * diag[self.rd.rank] != 1:
+        n = d = 1
+        for i in range(rank + 1):
+            for diag in diags:
+                x = diag[i]
+                n, d = n * x.numerator, d * x.denominator
+            acc = _rational(n, d)
+            if i < rank:
+                coords.append(acc)
+                n, d = acc.numerator, acc.denominator
+        if acc != 1:
             raise ValueError("determinant is not 1")
         return tuple(coords)
 

@@ -323,12 +323,13 @@ class Cone:
         coeffs = {h: 0 for h in hb}
         if q_dim:
             q = quotient(m)
-            pointed = [h for h in hb if any(quotient(h))]
-            decomp = _pointed_decompose(q, [quotient(h) for h in pointed], facets)
+            # each Hilbert element's image, once; the pointed ones are nonzero
+            pointed = [(h, qh) for h in hb for qh in (quotient(h),) if any(qh)]
+            decomp = _pointed_decompose(q, [qh for _, qh in pointed], facets)
             if decomp is None:
                 raise NotInMonoid(f"{m} is not a lattice member of the dual monoid")
             lifted_part = [0] * self.dim
-            for h, c in zip(pointed, decomp):
+            for (h, _), c in zip(pointed, decomp):
                 coeffs[h] = c
                 for k in range(self.dim):
                     lifted_part[k] += c * h[k]

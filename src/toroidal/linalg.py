@@ -22,6 +22,11 @@ numerator and one denominator, and ``_rational`` builds the entry once
 normalized Fraction, the shared one for an integer in -64..64; a ``RatFun``
 operand brings integer polynomials (``ratfun._Poly``), and the entry is
 one canonical RatFun.  One body serves both fields.
+
+``_rational`` takes one gcd per Fraction: it builds the result with
+``object.__new__`` and sets the ``_numerator`` and ``_denominator`` slots,
+which ``fractions.Fraction`` has on every supported Python (3.10-3.13), so
+no constructor reduces the pair a second time.
 """
 
 from __future__ import annotations
@@ -50,6 +55,8 @@ __all__ = [
 # them would otherwise hold a fresh Fraction for each such entry.
 _SMALL = tuple(Fraction(k) for k in range(-64, 65))
 
+_new = object.__new__
+
 
 def _share(x):
     """x, or the shared Fraction of the same value if it is a small integer."""
@@ -65,6 +72,10 @@ def _rational(n, d):
     denominators: each builds one entry per output.  For ints it is a
     normalized Fraction, shared if an integer in -64..64; for ``_Poly``s the
     canonical RatFun, which stores plain tuples.
+
+    For ints it takes one gcd and sets the two slots of the result itself,
+    as ``Fraction._from_coprime_ints`` does on Python 3.12+: the constructor
+    would take the same gcd again.
     """
     if type(n) is not int:
         return _reduced(tuple(n), tuple(d))
@@ -72,10 +83,14 @@ def _rational(n, d):
         if d < 0:
             n, d = -n, -d
         g = gcd(n, d)
-        if g != d:
-            return Fraction(n // g, d // g)
-        n //= d
-    return _SMALL[n + 64] if -64 <= n <= 64 else Fraction(n)
+        if g != 1:
+            n //= g
+            d //= g
+    if d == 1 and -64 <= n <= 64:
+        return _SMALL[n + 64]
+    f = _new(Fraction)
+    f._numerator, f._denominator = n, d
+    return f
 
 
 def _coerce_entry(x):

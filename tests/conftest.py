@@ -3,6 +3,7 @@
 import collections
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as _igcd, lcm
@@ -275,6 +276,38 @@ def _torus_translate_by_fractions(t_coords, p: ChartPoint) -> ChartPoint:
     return ChartPoint._trusted(p.cone, values)
 
 
+def _reciprocals_by_fractions(entries):
+    """The reciprocals of ``bigcell._diagonal``, by Fraction (or RatFun) division."""
+    return tuple(_share(1 / x) for x in entries)
+
+
+def _diagonal_coordinates_by_fractions(*diags):
+    """``Pinning.diagonal_coordinates`` of the entrywise product of the diags, by Fraction arithmetic.
+
+    The product list ``act`` and ``reorder`` formed, then the running
+    product ``acc * diag[i]``; the determinant must be 1.
+    """
+    diag = [functools.reduce(operator.mul, xs) for xs in zip(*diags)]
+    coords = []
+    acc = Fraction(1)
+    for x in diag[:-1]:
+        acc = acc * x
+        coords.append(acc)
+    if acc * diag[-1] != 1:
+        raise ValueError("determinant is not 1")
+    return tuple(coords)
+
+
+def _sweep_denominator_by_fractions(chi, x, y):
+    """The sweep's D = chi + x y, by Fraction (or RatFun) arithmetic."""
+    return chi + x * y
+
+
+def _minus_over_by_fractions(a, d):
+    """The sweep's multipliers -y / D and -x / D, by Fraction (or RatFun) division."""
+    return -a / d
+
+
 class FractionKernels:
     """The big-cell kernels before they computed on numerators and denominators.
 
@@ -289,6 +322,10 @@ class FractionKernels:
     conjugate_diagonal = staticmethod(_conjugate_diagonal_by_fractions)
     split_inverse = staticmethod(_split_inverse_by_fractions)
     torus_translate = staticmethod(_torus_translate_by_fractions)
+    reciprocals = staticmethod(_reciprocals_by_fractions)
+    diagonal_coordinates = staticmethod(_diagonal_coordinates_by_fractions)
+    sweep_denominator = staticmethod(_sweep_denominator_by_fractions)
+    minus_over = staticmethod(_minus_over_by_fractions)
 
 
 def _monomial_by_powers(values, exponents):

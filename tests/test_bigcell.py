@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from toroidal import bigcell
 from toroidal.bigcell import (
     Calculus,
     EquivalenceVerdict,
@@ -234,6 +235,70 @@ def test_reflect_simple_agrees_mod_p_letter_by_letter():
                             assert (e0 - e1).numerator % P == 0, (e0, e1)
                         checked += 1
     assert checked > 300 and skipped > 50, (checked, skipped)
+
+
+def _p_unit(x):
+    return x.numerator % P and x.denominator % P
+
+
+def test_reorder_and_act_agree_mod_p(monkeypatch):
+    # the base change of the previous test, through reorder and act: where
+    # every ldu pivot and every sweep denominator D is a p-unit at a, the
+    # outputs at a and at a + p * delta are p-integral and congruent mod p
+    denominators = []
+    split, denominator = Calculus._ldu, bigcell._sweep_denominator
+
+    def ldu(self, g, step, predicate):
+        out = split(self, g, step, predicate)
+        denominators.extend(out[1].rows[k][k] for k in range(out[1].nrows))
+        return out
+
+    def sweep_denominator(chi, x, y):
+        d = denominator(chi, x, y)
+        denominators.append(d)
+        return d
+
+    monkeypatch.setattr(Calculus, "_ldu", ldu)
+    monkeypatch.setattr(bigcell, "_sweep_denominator", sweep_denominator)
+    rng = random.Random(P + 1)
+    checked = skipped = 0
+    for rank in (1, 2):
+        calc = Calculus(RootDatum.of_type("A", rank))
+        pin, rd = calc.pinning, calc.rd
+        neg, pos = pin.negative_order, pin.positive_order
+        for cone in chamber_cones(rd):
+            calc.anchors(cone)  # certified first, so only denominators at a are recorded
+            for face in cone.faces():
+                delta = (0,) * rank if face.is_zero() else interior_cocharacter(face)
+                chart = limit_point(delta, cone)
+                for _ in range(6):
+                    a = [Fraction(rng.randint(-2, 2)) for _ in neg + pos]
+                    a += [Fraction(rng.choice([-2, -1, 1, 2, 3])) for _ in range(rank)]
+                    g1, g2 = random_element(pin, rng), random_element(pin, rng)
+                    points = []
+                    for shift in (0, P):
+                        c = [x + shift * Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for x in a]
+                        um = pin.unipotent_product(neg, c[: len(neg)])
+                        up = pin.unipotent_product(pos, c[len(neg) : -rank])
+                        points.append(MixedPoint(um, torus_translate(c[-rank:], chart), up))
+                    maps = (
+                        lambda q: calc.reorder(q.u_plus, q.chart, q.u_minus),
+                        lambda q: calc.act(g1, q, g2),
+                    )
+                    for f in maps:
+                        del denominators[:]
+                        try:
+                            at_a = f(points[0])
+                        except OutsideDomain:
+                            at_a = None
+                        if at_a is None or not all(map(_p_unit, denominators)):
+                            skipped += 1
+                            continue
+                        for e0, e1 in zip(_entries(at_a), _entries(f(points[1]))):
+                            assert e0.denominator % P and e1.denominator % P, (e0, e1)
+                            assert (e0 - e1).numerator % P == 0, (e0, e1)
+                        checked += 1
+    assert checked > 150 and skipped > 20, (checked, skipped)
 
 
 def _scalars(rng):

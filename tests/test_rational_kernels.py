@@ -7,16 +7,31 @@ same values of the same type, and the kernels must hand out the shared
 Fraction for every integer in -64..64.  A RatFun operand brings integer
 polynomials to the same kernel body, so Q(eps) input, all RatFun or mixed
 with Fractions, must give the reference's values and print as it does.
+The scalars the sweep and the action form (D = chi + x y, -y/D, the
+reciprocals of ``_diagonal``, ``diagonal_coordinates``) are held to their
+Fraction-operator forms the same way, and ``_rational``, which sets the
+slots of its Fraction itself, to the ``Fraction`` constructor.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
+from toroidal.bigcell import _diagonal, _minus_over, _sweep_denominator
 from toroidal.catalog import chamber_cones
 from toroidal.charts import ChartPoint, limit_point, torus_point, torus_translate
-from toroidal.chevalley import _plus_times, conjugate_diagonal, split_inverse
+from toroidal.chevalley import Pinning, _plus_times, conjugate_diagonal, split_inverse
 from toroidal.cones import Cone, interior_cocharacter
-from toroidal.linalg import _SMALL, Matrix, _share, unitriangular_inverse, unitriangular_product
+from toroidal.linalg import (
+    _SMALL,
+    Matrix,
+    _rational,
+    _share,
+    unitriangular_inverse,
+    unitriangular_product,
+)
 from toroidal.ratfun import EPS, RatFun
 from toroidal.rootdata import RootDatum
 
@@ -90,6 +105,35 @@ def _same(got, want):
         assert type(x) is type(y) and x == y, (got, want)
         if x.denominator == 1 and -64 <= x.numerator <= 64:
             assert x is _SMALL[x.numerator + 64], (got, x)
+
+
+def test_rational_builds_what_the_fraction_constructor_builds():
+    # _rational sets the slots of its Fraction itself: whatever it builds
+    # must be indistinguishable from Fraction(n, d)
+    rng = random.Random(6)
+    third = Fraction(1, 3)
+    cases = [(0, 1), (0, -7), (7, 1), (7, -1), (-7, -1), (6, 4), (6, -4), (-128, -2)]
+    cases += [(65, 1), (-65, -1), (3 * 64, -3), (10**30, 3), (-(10**30), 10**30 - 1)]
+    for _ in range(3000):
+        g = rng.choice((1, 1, rng.randint(2, 10**6)))
+        n = g * rng.randint(-(10 ** rng.randint(0, 30)), 10 ** rng.randint(0, 30))
+        d = g * rng.choice((1, -1)) * rng.choice((1, rng.randint(1, 10 ** rng.randint(1, 30))))
+        cases.append((n, d))
+    for _ in range(500):
+        d = rng.choice((1, -1)) * rng.randint(1, 6)
+        cases.append((d * rng.randint(-70, 70) + rng.randint(-1, 1), d))
+    shared = 0
+    for n, d in cases:
+        got, want = _rational(n, d), Fraction(n, d)
+        assert type(got) is Fraction and got == want and hash(got) == hash(want)
+        assert repr(got) == repr(want) and str(got) == str(want)
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+        assert type(got.numerator) is int and type(got.denominator) is int
+        assert got + third == want + third and repr(got + third) == repr(want + third)
+        if want.denominator == 1 and -64 <= want.numerator <= 64:
+            assert got is _SMALL[want.numerator + 64], (n, d)
+            shared += 1
+    assert shared > 100 and len(cases) - shared > 2000, shared
 
 
 def test_products_and_inverses_match_fraction_arithmetic(fraction_kernels):
@@ -229,3 +273,56 @@ def test_ratfun_operands_match_the_reference(fraction_kernels):
             p = fraction_kernels.torus_translate(t, p)
             t = tuple(_eps_scalar(rng, nonzero=True) for _ in range(rank))
             _same_value_and_repr(torus_translate(t, p), fraction_kernels.torus_translate(t, p))
+
+
+def _same_scalar(got, want):
+    """Equal value, repr and type; a small integer Fraction is the shared one."""
+    assert type(got) is type(want) and got == want and repr(got) == repr(want), (got, want)
+    if type(got) is Fraction and got.denominator == 1 and -64 <= got.numerator <= 64:
+        assert got is _SMALL[got.numerator + 64], got
+
+
+def test_sweep_scalars_match_fraction_arithmetic(fraction_kernels):
+    # chi, x and y each a Fraction or a RatFun: a Fraction x with a RatFun
+    # chi, the reverse, and every other mix
+    rng = random.Random(7)
+    for kinds in itertools.product((_scalar, _eps_scalar), repeat=3):
+        for _ in range(150):
+            chi, x, y = (scalar(rng) for scalar in kinds)
+            d = _sweep_denominator(chi, x, y)
+            _same_scalar(d, fraction_kernels.sweep_denominator(chi, x, y))
+            if d:
+                _same_scalar(_minus_over(y, d), fraction_kernels.minus_over(y, d))
+                _same_scalar(_minus_over(x, d), fraction_kernels.minus_over(x, d))
+
+
+def _det_one(rng, n, scalar):
+    """n nonzero scalars with product 1."""
+    d = [scalar(rng, nonzero=True) for _ in range(n - 1)]
+    prod = Fraction(1)
+    for x in d:
+        prod = prod * x
+    return d + [1 / prod]
+
+
+def test_diagonal_scalars_match_fraction_arithmetic(fraction_kernels):
+    rng = random.Random(8)
+    for rank in (1, 2, 3):
+        pin = Pinning(RootDatum.of_type("A", rank))
+        for scalars in ((_scalar,), (_eps_scalar,), (_scalar, _eps_scalar), (_eps_scalar, _scalar)):
+            for _ in range(40):
+                diags = [_det_one(rng, rank + 1, s) for s in scalars]
+                entries, recips = _diagonal(Matrix.diagonal(diags[0]))
+                for got, want in zip(recips, fraction_kernels.reciprocals(entries)):
+                    _same_scalar(got, want)
+                for k in range(1, len(diags) + 1):
+                    got = pin.diagonal_coordinates(*diags[:k])
+                    want = fraction_kernels.diagonal_coordinates(*diags[:k])
+                    assert len(got) == len(want) == rank
+                    for x, y in zip(got, want):
+                        _same_scalar(x, y)
+                bad = list(diags[0])
+                bad[-1] = bad[-1] * 2
+                for f in (pin.diagonal_coordinates, fraction_kernels.diagonal_coordinates):
+                    with pytest.raises(ValueError, match="determinant is not 1"):
+                        f(bad, *diags[1:])
