@@ -264,6 +264,8 @@ class Pinning:
             if support != list(range(lo, hi)):
                 raise ValueError(f"{beta} has non-consecutive support")
             self._pos[beta] = (lo, hi) if sgn > 0 else (hi, lo)
+        # one shared identity, which unipotent_product below starts from
+        self._identity = Matrix.identity(self.n)
         self._n_simple = tuple(
             self.unipotent_product(
                 (rd.simple_root(i), self._neg_simple(i), rd.simple_root(i)), (1, -1, 1)
@@ -289,7 +291,7 @@ class Pinning:
     # -- elements ------------------------------------------------------------
 
     def identity(self) -> Matrix:
-        return Matrix.identity(self.n)
+        return self._identity
 
     def root_position(self, beta):
         return self._pos[tuple(beta)]
@@ -396,7 +398,7 @@ class Pinning:
 
     def unipotent_product(self, order, coords) -> Matrix:
         """x_{b_1}(c_1) ... x_{b_m}(c_m), one column operation per factor."""
-        out = self.identity()
+        out = self._identity
         for beta, c in zip(order, coords):
             out = self.times_root(out, beta, c)
         return out

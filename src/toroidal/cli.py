@@ -79,20 +79,9 @@ def _cmd_verify(args) -> int:
         raise ValueError("--cases must be positive")
     report = run_suite(args.suite, rank=args.rank, cases=args.cases, seed=args.seed)
     payload = {
-        "suite": report.suite,
-        "rank": report.rank,
-        "seed": report.seed,
-        "cases": report.cases,
+        **vars(report),
         "all_pass": report.all_pass,
-        "properties": [
-            {
-                "name": p.name,
-                "passed": p.passed,
-                "cases": p.cases,
-                "counterexample": p.counterexample,
-            }
-            for p in report.properties
-        ],
+        "properties": [vars(p) for p in report.properties],
     }
     _emit(dumps_report(payload), args.out)
     return 0 if report.all_pass else 4

@@ -16,7 +16,7 @@ from math import prod
 
 from .linalg import (
     Matrix,
-    _gauss_jordan,
+    _bareiss,
     _int_rank as _rank,
     dot,
     integer_inverse,
@@ -24,7 +24,6 @@ from .linalg import (
     primitive_vector,
     smith_normal_form,
 )
-from .ratfun import _cleared
 
 __all__ = [
     "MAX_DIM",
@@ -150,16 +149,26 @@ def generators_from_halfspaces(normals, dim):
 
 
 def _reduce_mod_lattice(ray, basis):
-    """Canonical representative of a ray direction modulo a lattice span."""
-    if not basis:
-        return primitive_vector(ray)
-    work = [list(map(Fraction, b)) for b in basis]
-    vec = list(map(Fraction, ray))
-    for r, col in enumerate(_gauss_jordan(work, len(vec))):
-        if vec[col]:
-            f = vec[col]
-            vec = [a - f * b for a, b in zip(vec, work[r])]
-    return primitive_vector(_cleared(vec)[0])
+    """Canonical representative of a ray direction modulo a lattice span.
+
+    Each pivot p at (k, c) of ``_bareiss`` on the basis clears column c:
+    vec becomes |p| vec - sign(p) vec[c] row_k, row k read from column c on
+    (its entries to the left are stale, and zero in fact).  So vec stays a
+    positive multiple of the ray plus a vector of the span, and ends as the
+    one such direction that vanishes at every pivot column.
+    """
+    vec = list(ray)
+    rows = [list(b) for b in basis]
+    for k, (_, c) in enumerate(_bareiss(rows)):
+        f = vec[c]
+        if f:
+            row = rows[k]
+            p = row[c]
+            if p < 0:
+                p, f = -p, -f
+            vec[:c] = [p * x for x in vec[:c]]
+            vec[c:] = [p * x - f * y for x, y in zip(vec[c:], row[c:])]
+    return primitive_vector(vec)
 
 
 class Cone:

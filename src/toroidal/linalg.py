@@ -4,13 +4,12 @@ Matrices are immutable tuples of tuples.  Entries may be ``Fraction`` or
 ``RatFun``; integer input is coerced to ``Fraction``.  Everything is exact:
 elimination never pivots for numerical stability, only for non-vanishing.
 
-``_bareiss``, a fraction-free elimination on Python ints, gives the pivots
-for the integer rank (``_int_rank``, behind ``integer_rank`` and the rank
-tests of ``cones``) and ``Matrix.det``, and on the integer polynomials of
-Z[eps] as well it gives the big-cell split of ``chevalley.Pinning.ldu``;
-rows are cleared of denominators first.  ``_gauss_jordan`` stays for
-``Matrix.inverse``, which also inverts ``RatFun`` matrices, and for the
-lattice helpers of ``cones``, which need reduced rows rather than pivots.
+The package has two eliminations.  ``_bareiss``, fraction-free on Python
+ints and on the integer polynomials of Z[eps], with rows cleared of
+denominators first, gives the integer rank (``_int_rank``, behind
+``integer_rank`` and the rank tests of ``cones``), ``Matrix.det``,
+``Matrix.inverse`` over Q and over Q(eps), the big-cell split of
+``chevalley.Pinning.ldu`` and the lattice reduction of ``cones``.
 ``smith_normal_form`` uses unimodular operations only, so it keeps the
 lattice.  ``unitriangular_product`` and ``unitriangular_inverse`` compute
 only the triangle of a unitriangular result that can be nonzero.
@@ -265,16 +264,36 @@ class Matrix:
         return Fraction(-last if swaps % 2 else last, prod(s for _, s in cleared))
 
     def inverse(self) -> "Matrix":
+        """A^-1 from ``_bareiss`` on [s_i a_i | s_i e_i], row i cleared by s_i.
+
+        The system solves to (SA)^-1 S = A^-1, and p A^-1 is integral for the
+        last pivot p, so the back substitution x_kj = (p b_kj - sum_{m>k}
+        u_km x_mj) // u_kk is exact (Nakos, Turner and Williams, SIGSAM Bull.
+        31, 1997) and each entry is one ``_rational(x_kj, p)``.  A row holding
+        a RatFun makes every later pivot, the last among them, a ``_Poly``.
+        Row k is read from its pivot column on: left of it are stale entries.
+        """
         if self.nrows != self.ncols:
             raise ValueError("inverse of a non-square matrix")
         n = self.nrows
-        rows = [
-            list(r) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-            for i, r in enumerate(self.rows)
-        ]
-        if len(_gauss_jordan(rows, n)) < n:
-            raise ZeroDivisionError("matrix is singular")
-        return Matrix([r[n:] for r in rows])
+        a = []
+        for i, r in enumerate(self.rows):
+            ints, s = _cleared(r)
+            a.append(ints + [s if j == i else 0 for j in range(n)])
+        # [SA | S] has rank n, so A is singular iff a pivot leaves column k
+        for k, (_, col) in enumerate(_bareiss(a)):
+            if col != k:
+                raise ZeroDivisionError("matrix is singular")
+        p = a[-1][n - 1] if n else 1
+        x = [None] * n
+        for k in range(n - 1, -1, -1):
+            row = a[k]
+            x[k] = [
+                (p * row[n + j] - sum(row[m] * x[m][j] for m in range(k + 1, n)))
+                // row[k]
+                for j in range(n)
+            ]
+        return Matrix._of(tuple(tuple(_rational(v, p) for v in xs) for xs in x))
 
 
 def unitriangular_product(a: Matrix, b: Matrix, lower: bool) -> Matrix:
@@ -327,31 +346,6 @@ def unitriangular_inverse(m: Matrix, lower: bool) -> Matrix:
             + (zero,) * (n - 1 - i)
         )
     return Matrix._of(tuple(out) if lower else tuple(zip(*out)))
-
-
-def _gauss_jordan(rows, ncols):
-    """Reduce a list of row lists in place to reduced row echelon form.
-
-    Pivots are sought in the first ``ncols`` columns only; any further
-    (augmented) columns are carried along by the same row operations.
-    Returns the pivot columns, so the pivot of column ``pivots[r]`` sits in
-    row ``r`` and the rank is ``len(pivots)``.
-    """
-    pivots = []
-    for col in range(ncols):
-        row = len(pivots)
-        piv = next((i for i in range(row, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[row], rows[piv] = rows[piv], rows[row]
-        inv = 1 / rows[row][col]
-        rows[row] = [x * inv for x in rows[row]]
-        for i in range(len(rows)):
-            if i != row and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[row])]
-        pivots.append(col)
-    return pivots
 
 
 def _int_rows(m: Matrix):

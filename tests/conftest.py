@@ -21,8 +21,8 @@ from toroidal.charts import (
     evaluate_character,
 )
 from toroidal.cones import HILBERT_BOX_LIMIT, Cone, generators_from_halfspaces
-from toroidal.linalg import _SMALL, Matrix, _gauss_jordan, _share, dot, primitive_vector
-from toroidal.ratfun import PoleAtZero
+from toroidal.linalg import _SMALL, Matrix, _share, dot, primitive_vector
+from toroidal.ratfun import PoleAtZero, _cleared
 
 
 def _rays_by_double_description(rays, dim):
@@ -98,6 +98,61 @@ def _pointed_hilbert_by_pairs(facets, extreme, dim):
         if not reducible:
             basis.append(h)
     return sorted(basis)
+
+
+def _gauss_jordan(rows, ncols):
+    """Reduce a list of row lists in place to reduced row echelon form.
+
+    The elimination behind ``Matrix.inverse`` and the lattice reduction of
+    ``cones`` before both ran on the fraction-free kernel, kept as a
+    reference.  Pivots are sought in the first ``ncols`` columns only; any
+    further (augmented) columns are carried along by the same row
+    operations.  Returns the pivot columns, so the pivot of column
+    ``pivots[r]`` sits in row ``r`` and the rank is ``len(pivots)``.
+    """
+    pivots = []
+    for col in range(ncols):
+        row = len(pivots)
+        piv = next((i for i in range(row, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[row], rows[piv] = rows[piv], rows[row]
+        inv = 1 / rows[row][col]
+        rows[row] = [x * inv for x in rows[row]]
+        for i in range(len(rows)):
+            if i != row and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[row])]
+        pivots.append(col)
+    return pivots
+
+
+def _inverse_by_gauss_jordan(m: Matrix) -> Matrix:
+    """``Matrix.inverse`` by Gauss-Jordan on [A | I], kept as a reference."""
+    if m.nrows != m.ncols:
+        raise ValueError("inverse of a non-square matrix")
+    n = m.nrows
+    rows = [
+        list(r) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
+        for i, r in enumerate(m.rows)
+    ]
+    if len(_gauss_jordan(rows, n)) < n:
+        raise ZeroDivisionError("matrix is singular")
+    return Matrix([r[n:] for r in rows])
+
+
+def _reduce_mod_lattice_by_gauss_jordan(ray, basis):
+    """``cones._reduce_mod_lattice`` on the reduced echelon form of the basis
+    over Fractions, kept as a reference."""
+    if not basis:
+        return primitive_vector(ray)
+    work = [list(map(Fraction, b)) for b in basis]
+    vec = list(map(Fraction, ray))
+    for r, col in enumerate(_gauss_jordan(work, len(vec))):
+        if vec[col]:
+            f = vec[col]
+            vec = [a - f * b for a, b in zip(vec, work[r])]
+    return primitive_vector(_cleared(vec)[0])
 
 
 def _fraction_rank(rows):
@@ -852,6 +907,16 @@ def pointed_hilbert_by_pairs():
 @pytest.fixture(scope="session")
 def fraction_rank():
     return _fraction_rank
+
+
+@pytest.fixture(scope="session")
+def inverse_by_gauss_jordan():
+    return _inverse_by_gauss_jordan
+
+
+@pytest.fixture(scope="session")
+def reduce_mod_lattice_by_gauss_jordan():
+    return _reduce_mod_lattice_by_gauss_jordan
 
 
 @pytest.fixture(scope="session")

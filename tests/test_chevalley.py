@@ -49,6 +49,25 @@ def test_weyl_representative_frozen_sl2():
     assert pin.weyl_representative((0,)) == n
 
 
+def test_identity_is_shared_and_unipotent_products_unchanged():
+    rng = random.Random(5)
+    for rank in range(1, 4):
+        pin = pinning(rank)
+        assert pin.identity() is pin.identity() == Matrix.identity(rank + 1)
+        assert pin.unipotent_product((), ()) is pin.identity()
+        for order in (pin.positive_order, pin.negative_order):
+            for _ in range(10):
+                coords = [
+                    Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in order
+                ]
+                want = Matrix.identity(rank + 1)
+                for beta, c in zip(order, coords):
+                    want = want @ pin.root_element(beta, c)
+                got = pin.unipotent_product(order, coords)
+                assert got == want and repr(got) == repr(want)
+        assert pin.identity() == Matrix.identity(rank + 1)
+
+
 def test_reflection_fourth_power_up_to_sl5():
     for rank in range(1, 5):
         pin = pinning(rank)

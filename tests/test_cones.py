@@ -13,6 +13,7 @@ from toroidal.cones import (
     NotInMonoid,
     ZeroCone,
     _pointed_hilbert,
+    _reduce_mod_lattice,
     cone_index,
     cone_is_smooth,
     face_witness,
@@ -26,7 +27,7 @@ from toroidal.cones import (
     orbit_fan,
     supported_in_chamber,
 )
-from toroidal.linalg import Matrix, dot, integer_rank, smith_normal_form
+from toroidal.linalg import Matrix, _bareiss, dot, integer_rank, smith_normal_form
 from toroidal.rootdata import RootDatum
 
 
@@ -101,6 +102,26 @@ def test_halfspace_generators_frozen():
     rays, lin = generators_from_halfspaces([(0, 1), (2, -1)], 2)
     assert not lin
     assert Cone(rays, dim=2) == Cone([(1, 0), (1, 2)])
+
+
+def test_lattice_reduction_matches_reduced_echelon_form(
+    reduce_mod_lattice_by_gauss_jordan,
+):
+    # bases of 0 to dim vectors, some dependent, many with a negative pivot
+    rng = random.Random(23)
+    negative = 0
+    for _ in range(10000):
+        dim = rng.randint(1, 4)
+        basis = [
+            tuple(rng.randint(-4, 4) for _ in range(dim))
+            for _ in range(rng.randint(0, dim))
+        ]
+        ray = tuple(rng.randint(-6, 6) for _ in range(dim))
+        rows = [list(b) for b in basis]
+        negative += any(rows[k][c] < 0 for k, (_, c) in enumerate(_bareiss(rows)))
+        got = _reduce_mod_lattice(ray, basis)
+        assert got == reduce_mod_lattice_by_gauss_jordan(ray, basis), (ray, basis)
+    assert negative > 4000
 
 
 def test_cone_rejects_lines():

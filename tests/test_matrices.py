@@ -60,6 +60,73 @@ def test_det_and_inverse():
         Matrix([[1, 2], [2, 4]]).inverse()
 
 
+def _inverse_cases(rng, eps):
+    """Seeded square matrices of size 1-4, a fifth of them singular.
+
+    Over Q(eps) one row, or now and then every row, holds RatFuns with eps
+    and eps^2 terms among the Fraction rows, and some hold a pole 1/(1 + eps).
+    """
+
+    def entry():
+        r = rng.random()
+        if r < 0.25:
+            return 0
+        if r < 0.55:
+            return rng.randint(-9, 9)
+        if r < 0.95:
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+        return Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**6))
+
+    def eps_row(row):
+        out = [x + rng.randint(-2, 2) * EPS + rng.randint(-1, 1) * EPS**2 for x in row]
+        if rng.random() < 0.3:
+            out[rng.randrange(len(out))] = 1 / (1 + EPS)
+        return out
+
+    for _ in range(3000):
+        n = rng.randint(1, 4)
+        rows = [[entry() for _ in range(n)] for _ in range(n)]
+        if eps:
+            for i in range(n) if rng.random() < 0.2 else [rng.randrange(n)]:
+                rows[i] = eps_row(rows[i])
+        r = rng.random()
+        if r < 0.1:
+            rows[rng.randrange(n)] = [0] * n
+        elif n > 1 and r < 0.2:
+            # the last row a combination of the first two
+            c, d = Fraction(rng.randint(-5, 5), rng.randint(1, 4)), rng.randint(-5, 5)
+            rows[-1] = [c * x + d * y for x, y in zip(rows[0], rows[1])]
+        yield Matrix(rows)
+
+
+@pytest.mark.parametrize("eps", [False, True])
+def test_inverse_matches_gauss_jordan(eps, inverse_by_gauss_jordan):
+    inverted = refused = 0
+    for m in _inverse_cases(random.Random(41 + eps), eps):
+        try:
+            want = inverse_by_gauss_jordan(m)
+        except ZeroDivisionError as e:
+            with pytest.raises(ZeroDivisionError, match=f"^{e}$"):
+                m.inverse()
+            refused += 1
+            continue
+        got = m.inverse()
+        assert got == want and repr(got) == repr(want), m
+        if not eps:
+            assert _entry_types(got) == _entry_types(want), m
+            # small integers are the shared Fractions on both sides
+            assert all(
+                (x is y) == (y.denominator == 1 and -64 <= y <= 64)
+                for r, s in zip(got.rows, want.rows)
+                for x, y in zip(r, s)
+            ), m
+        inverted += 1
+    assert inverted > 1800 and refused > 400
+    assert Matrix([]).inverse() == Matrix([])
+    with pytest.raises(ValueError, match="non-square"):
+        Matrix([[1, 2]]).inverse()
+
+
 def _det_cases(rng):
     """Seeded rational matrices of size 0-5, some singular and some with a
     zero (0, 0) entry, so that the elimination has to swap rows."""
