@@ -454,14 +454,17 @@ class Calculus:
         attempts = 0
         while attempts < witness_budget:
             if attempts == 0:
+                # the identity pair translates nothing: no products to form
                 a1, a2 = ident, ident
+                sides = (g1, g2, h1, h2)
             else:
                 a1 = random_element(self.pinning, rng)
                 a2 = random_element(self.pinning, rng)
+                sides = (a1 @ g1, a2 @ g2, a1 @ h1, a2 @ h2)
             attempts += 1
             try:
-                r1 = self.act(a1 @ g1, w1, a2 @ g2)
-                r2 = self.act(a1 @ h1, w2, a2 @ h2)
+                r1 = self.act(sides[0], w1, sides[1])
+                r2 = self.act(sides[2], w2, sides[3])
             except OutsideDomain:
                 continue
             kind = "equivalent" if r1 == r2 else "not_equivalent"

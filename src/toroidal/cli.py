@@ -92,7 +92,7 @@ def _cmd_hilbert(args) -> int:
         rays = json.loads(args.rays)
     except json.JSONDecodeError:
         rays = _read_json(args.rays)
-    if not isinstance(rays, list):
+    if not isinstance(rays, list) or not all(isinstance(r, list) for r in rays):
         raise ValueError("--rays must be a JSON list of integer vectors")
     cone = Cone(rays, dim=args.dim)
     payload = {

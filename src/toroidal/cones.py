@@ -5,6 +5,11 @@ convex; the dual cone, the Hilbert basis of the dual monoid, the face
 lattice and fan-level predicates (validity, chamber support, smoothness,
 properness by counting walls, in the chamber or on the Weyl orbit fan) are
 all computed in exact integer/rational arithmetic.
+
+The lattice work is over Z: the splitting of the dual monoid off its unit
+group reads the unimodular W of a Smith normal form, and W^{-1}, once into
+rows of Python ints, and its quotient, lift and facet maps are integer dot
+products on those rows.
 """
 
 from __future__ import annotations
@@ -81,6 +86,10 @@ def _as_int_vector(v):
     return tuple(out)
 
 
+def _unit_vectors(n):
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
 def generators_from_halfspaces(normals, dim):
     """Extreme rays and lineality basis of {x : <n, x> >= 0 for all n}.
 
@@ -92,7 +101,7 @@ def generators_from_halfspaces(normals, dim):
     """
     normals = [_as_int_vector(n) for n in normals]
     normals = [n for n in normals if any(n)]
-    lin = [tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)]
+    lin = list(_unit_vectors(dim))
     rays: list = []
     processed: list = []
 
@@ -138,12 +147,7 @@ def generators_from_halfspaces(normals, dim):
             rays = plus + zero + combos
         rays = prune(rays)
 
-    if normals:
-        lineality = integer_kernel(Matrix(normals))
-    else:
-        lineality = tuple(
-            tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)
-        )
+    lineality = integer_kernel(Matrix(normals)) if normals else _unit_vectors(dim)
     rays = [_reduce_mod_lattice(r, lineality) for r in rays]
     return tuple(sorted(set(rays))), tuple(sorted(lineality))
 
@@ -250,16 +254,14 @@ class Cone:
         (unit group first), quotient and lift map between the lattice and the
         q_dim quotient coordinates, and the facet normals / extreme rays
         describe the pointed image.
+
+        W and W^{-1} are read once into rows of Python ints, so every map
+        built from them is an integer ``dot``; all outputs are int tuples.
         """
         if self._hilbert_split is not None:
             return self._hilbert_split
         n = self.dim
-        if self.rays:
-            kernel = integer_kernel(Matrix(self.rays))
-        else:
-            kernel = tuple(
-                tuple(1 if i == j else 0 for j in range(n)) for i in range(n)
-            )
+        kernel = integer_kernel(Matrix(self.rays)) if self.rays else _unit_vectors(n)
         d = len(kernel)
         if d:
             # From U @ kmat @ V = [I_d; 0] the first d columns of U^{-1}
@@ -269,30 +271,29 @@ class Cone:
             u, dd, _ = smith_normal_form(kmat)
             if any(dd[t, t] != 1 for t in range(d)):
                 raise RuntimeError("kernel lattice must be saturated")
-            w = u
-            w_inv = integer_inverse(w)
-            group_basis = tuple(
-                tuple(int(w_inv[i, j]) for i in range(n)) for j in range(d)
-            )
+            w = tuple(tuple(int(x) for x in r) for r in u.rows)
+            w_inv = tuple(tuple(int(x) for x in r) for r in integer_inverse(u).rows)
         else:
-            w = Matrix.identity(n)
-            w_inv = w
-            group_basis = ()
-        unit_rows = tuple(tuple(int(x) for x in w.rows[i]) for i in range(d))
+            w = w_inv = _unit_vectors(n)
+        w_inv_cols = tuple(zip(*w_inv))
+        group_basis = w_inv_cols[:d]
+        unit_rows = w[:d]
+        quotient_rows = w[d:]
+        lift_rows = tuple(r[d:] for r in w_inv)
         q_dim = n - d
 
         def quotient(x):
-            full = w @ tuple(x)
-            return tuple(int(c) for c in full[d:])
+            return tuple(dot(r, x) for r in quotient_rows)
 
         def lift(q):
-            full = (0,) * d + tuple(q)
-            out = w_inv @ tuple(full)
-            return tuple(int(c) for c in out)
+            return tuple(dot(r, q) for r in lift_rows)
 
         # <r, x> = <(r @ w_inv)[d:], quotient(x)>, since r vanishes on the
         # unit group; the dual rays map onto the extreme rays of the image
-        facets = tuple(sorted({primitive_vector((r @ w_inv)[d:]) for r in self.rays}))
+        lift_cols = w_inv_cols[d:]
+        facets = tuple(
+            sorted({primitive_vector(tuple(dot(r, c) for c in lift_cols)) for r in self.rays})
+        )
         extreme = tuple(sorted({primitive_vector(quotient(g)) for g in self.dual_rays}))
         self._hilbert_split = (group_basis, unit_rows, quotient, lift, facets, extreme, q_dim)
         return self._hilbert_split

@@ -4,14 +4,21 @@ import collections
 import functools
 import itertools
 import operator
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as _igcd, lcm
 
 import pytest
 
-from toroidal.bigcell import DomainReport, MixedPoint, OutsideVi
-from toroidal.chevalley import NotInBigCell
+from toroidal.bigcell import (
+    DomainReport,
+    EquivalenceVerdict,
+    MixedPoint,
+    OutsideDomain,
+    OutsideVi,
+)
+from toroidal.chevalley import NotInBigCell, random_element
 from toroidal.charts import (
     ChartPoint,
     ZeroScalar,
@@ -21,7 +28,16 @@ from toroidal.charts import (
     evaluate_character,
 )
 from toroidal.cones import HILBERT_BOX_LIMIT, Cone, generators_from_halfspaces
-from toroidal.linalg import _SMALL, Matrix, _share, dot, primitive_vector
+from toroidal.linalg import (
+    _SMALL,
+    Matrix,
+    _share,
+    dot,
+    integer_inverse,
+    integer_kernel,
+    primitive_vector,
+    smith_normal_form,
+)
 from toroidal.ratfun import PoleAtZero, _cleared
 
 
@@ -61,6 +77,57 @@ def _splitting_by_double_description(cone: Cone):
     if ext_lin:
         raise RuntimeError("dual of the pointed quotient must be pointed")
     return facets, extreme
+
+
+def _splitting_by_fraction_matrices(cone: Cone):
+    """The 7-tuple of ``Cone._splitting``, by Fraction ``Matrix`` products.
+
+    The version before the integer rows, kept as a reference: quotient,
+    lift and the facet pairings multiply W and W^{-1} as ``Matrix`` objects
+    of Fractions and turn the results back into ints.
+    """
+    n = cone.dim
+    if cone.rays:
+        kernel = integer_kernel(Matrix(cone.rays))
+    else:
+        kernel = tuple(
+            tuple(1 if i == j else 0 for j in range(n)) for i in range(n)
+        )
+    d = len(kernel)
+    if d:
+        # From U @ kmat @ V = [I_d; 0] the first d columns of U^{-1}
+        # span the kernel lattice, so U gives coordinates in which the
+        # unit group is the first d axes.
+        kmat = Matrix([list(k) for k in kernel]).transpose()  # n x d
+        u, dd, _ = smith_normal_form(kmat)
+        if any(dd[t, t] != 1 for t in range(d)):
+            raise RuntimeError("kernel lattice must be saturated")
+        w = u
+        w_inv = integer_inverse(w)
+        group_basis = tuple(
+            tuple(int(w_inv[i, j]) for i in range(n)) for j in range(d)
+        )
+    else:
+        w = Matrix.identity(n)
+        w_inv = w
+        group_basis = ()
+    unit_rows = tuple(tuple(int(x) for x in w.rows[i]) for i in range(d))
+    q_dim = n - d
+
+    def quotient(x):
+        full = w @ tuple(x)
+        return tuple(int(c) for c in full[d:])
+
+    def lift(q):
+        full = (0,) * d + tuple(q)
+        out = w_inv @ tuple(full)
+        return tuple(int(c) for c in out)
+
+    # <r, x> = <(r @ w_inv)[d:], quotient(x)>, since r vanishes on the
+    # unit group; the dual rays map onto the extreme rays of the image
+    facets = tuple(sorted({primitive_vector((r @ w_inv)[d:]) for r in cone.rays}))
+    extreme = tuple(sorted({primitive_vector(quotient(g)) for g in cone.dual_rays}))
+    return (group_basis, unit_rows, quotient, lift, facets, extreme, q_dim)
 
 
 def _pointed_hilbert_by_pairs(facets, extreme, dim):
@@ -579,6 +646,38 @@ def _reflect_simple_by_products(calc, p: MixedPoint, i: int) -> MixedPoint:
     return MixedPoint(um, chart, up)
 
 
+def _check_equivalence_by_products(
+    calc, a_triple, b_triple, witness_budget: int = 8, seed: int = 0
+) -> EquivalenceVerdict:
+    """``Calculus.check_equivalence`` forming a1 g1, a2 g2, a1 h1, a2 h2 always.
+
+    The version before the identity witness skipped its products, kept as a
+    reference: on attempt 0 it multiplies by the identity pair too.
+    """
+    g1, w1, g2 = a_triple
+    h1, w2, h2 = b_triple
+    if w1.chart.cone != w2.chart.cone:
+        raise ValueError("triples must use charts on a common cone")
+    rng = random.Random(f"{seed}:equivalence")
+    ident = calc.pinning.identity()
+    attempts = 0
+    while attempts < witness_budget:
+        if attempts == 0:
+            a1, a2 = ident, ident
+        else:
+            a1 = random_element(calc.pinning, rng)
+            a2 = random_element(calc.pinning, rng)
+        attempts += 1
+        try:
+            r1 = calc.act(a1 @ g1, w1, a2 @ g2)
+            r2 = calc.act(a1 @ h1, w2, a2 @ h2)
+        except OutsideDomain:
+            continue
+        kind = "equivalent" if r1 == r2 else "not_equivalent"
+        return EquivalenceVerdict(kind, (a1, a2), attempts)
+    return EquivalenceVerdict("inconclusive", None, attempts)
+
+
 def _reflect_longest_inverse_by_cubes(calc, p: MixedPoint) -> MixedPoint:
     """The inverse longest-word conjugation, three reflections per letter.
 
@@ -967,6 +1066,16 @@ def rays_by_double_description():
 @pytest.fixture(scope="session")
 def splitting_by_double_description():
     return _splitting_by_double_description
+
+
+@pytest.fixture(scope="session")
+def splitting_by_fraction_matrices():
+    return _splitting_by_fraction_matrices
+
+
+@pytest.fixture(scope="session")
+def check_equivalence_by_products():
+    return _check_equivalence_by_products
 
 
 @pytest.fixture(scope="session")

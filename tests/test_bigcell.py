@@ -761,3 +761,21 @@ def test_equivalence_inconclusive_when_budget_exhausted():
     # budget stops before any random witness can fix that
     verdict = CALC1.check_equivalence((n, w, e), (n, w, e), witness_budget=1)
     assert verdict == EquivalenceVerdict("inconclusive", None, 1)
+
+
+def test_equivalence_matches_products_with_the_identity_pair(check_equivalence_by_products):
+    # equivalent pairs, and bumped pairs that are not, at ranks 1 and 2
+    for calc in (CALC1, CALC2):
+        rng = random.Random(2313)
+        pin = calc.pinning
+        alpha = calc.rd.simple_root(0)
+        for k in range(6):
+            a, b = equivalent_pair(calc, rng)
+            g1, w, g2 = a
+            bumped = MixedPoint(
+                w.u_minus, w.chart, w.u_plus @ pin.root_element(alpha, Fraction(1))
+            )
+            e = pin.identity()
+            for pair in (a, b), ((g1, w, g2), (g1, bumped, g2)), ((e, w, e), (e, bumped, e)):
+                verdict = calc.check_equivalence(*pair, seed=k)
+                assert verdict == check_equivalence_by_products(calc, *pair, seed=k)

@@ -264,6 +264,14 @@ def test_hilbert_rejects_non_list(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("rays", ["[1,2]", "[[1,0],5]"])
+def test_hilbert_rejects_rays_that_are_not_vectors(rays, capsys):
+    code, out, err = run_cli(["hilbert", "--rays", rays], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: --rays must be a JSON list of integer vectors\n"
+
+
 def test_hilbert_rejects_boolean_coordinates(capsys):
     code, _, err = run_cli(["hilbert", "--rays", "[[true,0]]"], capsys)
     assert code == 1

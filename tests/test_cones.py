@@ -159,6 +159,75 @@ def test_closed_forms_match_double_description(
     assert lines > 0
 
 
+def seeded_cones(seed, count):
+    """count seeded cones of dims 1-4, with and without dual lineality."""
+    rng = random.Random(seed)
+    cones = []
+    while len(cones) < count:
+        dim = rng.randint(1, 4)
+        c = 2 if dim == 4 else 3
+        rays = [tuple(rng.randint(-c, c) for _ in range(dim)) for _ in range(rng.randint(0, dim + 1))]
+        try:
+            cones.append(Cone([r for r in rays if any(r)], dim))
+        except ValueError:
+            continue
+    return cones
+
+
+def seeded_vectors(rng, dim, count):
+    return [tuple(rng.randint(-9, 9) for _ in range(dim)) for _ in range(count)]
+
+
+def small_hilbert_basis(cone):
+    """The Hilbert basis, or () when its candidate box passes 2,000 points."""
+    _, _, _, _, _, extreme, q = cone._splitting()
+    if math.prod(sum(abs(r[k]) for r in extreme) + 1 for k in range(q)) > 2000:
+        return ()
+    return cone.hilbert_basis
+
+
+def test_splitting_on_int_rows_matches_fraction_matrices(splitting_by_fraction_matrices):
+    rng = random.Random(2310)
+    cones = list(cone_catalog()) + seeded_cones(2309, 1000)
+    with_lineality = with_hilbert = 0
+    for cone in cones:
+        got = cone._splitting()
+        want = splitting_by_fraction_matrices(cone)
+        group_basis, unit_rows, quotient, lift, facets, extreme, q_dim = got
+        assert group_basis == want[0]
+        assert unit_rows == want[1]
+        assert (facets, extreme, q_dim) == want[4:]
+        with_lineality += bool(group_basis)
+        hb = small_hilbert_basis(cone)
+        with_hilbert += bool(hb)
+        xs = list(cone.dual_rays) + list(hb) + seeded_vectors(rng, cone.dim, 3)
+        qs = [quotient(x) for x in xs]
+        assert qs == [want[2](x) for x in xs]
+        qs += seeded_vectors(rng, q_dim, 3)
+        lifts = [lift(q) for q in qs]
+        assert lifts == [want[3](q) for q in qs]
+        outputs = [*group_basis, *unit_rows, *facets, *extreme, *qs, *lifts]
+        assert all(type(x) is int for v in outputs for x in v), cone
+    assert 0 < with_lineality < len(cones)
+    assert with_hilbert > 0.85 * len(cones)
+
+
+def test_splitting_quotient_and_lift_invert_each_other():
+    rng = random.Random(2311)
+    for cone in seeded_cones(2312, 300):
+        group_basis, unit_rows, quotient, lift, _, _, _ = cone._splitting()
+        hb = small_hilbert_basis(cone)
+        for h in hb:
+            q = quotient(h)
+            assert quotient(lift(q)) == q
+        for x in list(hb) + seeded_vectors(rng, cone.dim, 5):
+            total = list(lift(quotient(x)))
+            for row, b in zip(unit_rows, group_basis):
+                k = dot(row, x)
+                total = [t + k * y for t, y in zip(total, b)]
+            assert tuple(total) == x, (cone, x)
+
+
 # -- Hilbert bases ------------------------------------------------------------
 
 
