@@ -456,15 +456,15 @@ class Calculus:
             if attempts == 0:
                 # the identity pair translates nothing: no products to form
                 a1, a2 = ident, ident
-                sides = (g1, g2, h1, h2)
+                x1, y1, x2, y2 = g1, g2, h1, h2
             else:
                 a1 = random_element(self.pinning, rng)
                 a2 = random_element(self.pinning, rng)
-                sides = (a1 @ g1, a2 @ g2, a1 @ h1, a2 @ h2)
+                x1, y1, x2, y2 = a1 @ g1, a2 @ g2, a1 @ h1, a2 @ h2
             attempts += 1
             try:
-                r1 = self.act(sides[0], w1, sides[1])
-                r2 = self.act(sides[2], w2, sides[3])
+                r1 = self.act(x1, w1, y1)
+                r2 = self.act(x2, w2, y2)
             except OutsideDomain:
                 continue
             kind = "equivalent" if r1 == r2 else "not_equivalent"

@@ -166,7 +166,8 @@ def seeded_cones(seed, count):
     while len(cones) < count:
         dim = rng.randint(1, 4)
         c = 2 if dim == 4 else 3
-        rays = [tuple(rng.randint(-c, c) for _ in range(dim)) for _ in range(rng.randint(0, dim + 1))]
+        n_rays = rng.randint(0, dim + 1)
+        rays = [tuple(rng.randint(-c, c) for _ in range(dim)) for _ in range(n_rays)]
         try:
             cones.append(Cone([r for r in rays if any(r)], dim))
         except ValueError:
@@ -207,7 +208,7 @@ def test_splitting_on_int_rows_matches_fraction_matrices(splitting_by_fraction_m
         lifts = [lift(q) for q in qs]
         assert lifts == [want[3](q) for q in qs]
         outputs = [*group_basis, *unit_rows, *facets, *extreme, *qs, *lifts]
-        assert all(type(x) is int for v in outputs for x in v), cone
+        assert all(type(v) is tuple and all(type(x) is int for x in v) for v in outputs), cone
     assert 0 < with_lineality < len(cones)
     assert with_hilbert > 0.85 * len(cones)
 
