@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cones import Cone, NotInMonoid, interior_cocharacter
-from .linalg import Matrix, _rational, dot, integer_kernel
+from .linalg import _int_kernel, _rational, dot
 from .ratfun import RatFun, evaluate_at_zero
 
 __all__ = [
@@ -148,7 +148,7 @@ class ChartPoint:
             raise InvalidChartValues(f"nonzero values on {support}, not on a face")
         if not support:
             return
-        for k in integer_kernel(Matrix(support).transpose()):
+        for k in _int_kernel(list(zip(*support))):
             left = [(h, e) for h, e in zip(support, k) if e > 0]
             right = [(h, -e) for h, e in zip(support, k) if e < 0]
             if _monomial(vals, left) != _monomial(vals, right):

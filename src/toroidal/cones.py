@@ -6,10 +6,12 @@ lattice and fan-level predicates (validity, chamber support, smoothness,
 properness by counting walls, in the chamber or on the Weyl orbit fan) are
 all computed in exact integer/rational arithmetic.
 
-The lattice work is over Z: the splitting of the dual monoid off its unit
-group reads the unimodular W of a Smith normal form, and W^{-1}, once into
-rows of Python ints, and its quotient, lift and facet maps are integer dot
-products on those rows.
+The lattice work is over Z, on rows of Python ints throughout: kernels,
+indices and the splitting of the dual monoid off its unit group come from
+``linalg._smith``, the Smith reduction on int rows.  The splitting takes the
+unimodular W and its inverse from one such reduction, which returns U^{-1}
+beside U, and its quotient, lift and facet maps are integer dot products on
+those rows.
 """
 
 from __future__ import annotations
@@ -20,14 +22,12 @@ from fractions import Fraction
 from math import prod
 
 from .linalg import (
-    Matrix,
     _bareiss,
+    _int_kernel,
     _int_rank as _rank,
+    _smith,
     dot,
-    integer_inverse,
-    integer_kernel,
     primitive_vector,
-    smith_normal_form,
 )
 
 __all__ = [
@@ -147,7 +147,7 @@ def generators_from_halfspaces(normals, dim):
             rays = plus + zero + combos
         rays = prune(rays)
 
-    lineality = integer_kernel(Matrix(normals)) if normals else _unit_vectors(dim)
+    lineality = _int_kernel(normals) if normals else _unit_vectors(dim)
     rays = [_reduce_mod_lattice(r, lineality) for r in rays]
     return tuple(sorted(set(rays))), tuple(sorted(lineality))
 
@@ -255,24 +255,23 @@ class Cone:
         q_dim quotient coordinates, and the facet normals / extreme rays
         describe the pointed image.
 
-        W and W^{-1} are read once into rows of Python ints, so every map
-        built from them is an integer ``dot``; all outputs are int tuples.
+        W and W^{-1} are the U and U^{-1} of one ``_smith`` of the kernel
+        matrix, int rows both, so every map built from them is an integer
+        ``dot``; all outputs are int tuples.
         """
         if self._hilbert_split is not None:
             return self._hilbert_split
         n = self.dim
-        kernel = integer_kernel(Matrix(self.rays)) if self.rays else _unit_vectors(n)
+        kernel = _int_kernel(self.rays) if self.rays else _unit_vectors(n)
         d = len(kernel)
         if d:
-            # From U @ kmat @ V = [I_d; 0] the first d columns of U^{-1}
-            # span the kernel lattice, so U gives coordinates in which the
-            # unit group is the first d axes.
-            kmat = Matrix([list(k) for k in kernel]).transpose()  # n x d
-            u, dd, _ = smith_normal_form(kmat)
-            if any(dd[t, t] != 1 for t in range(d)):
+            # From U @ K @ V = [I_d; 0], K the n x d matrix of kernel
+            # columns, the first d columns of U^{-1} span the kernel lattice,
+            # so U gives coordinates in which the unit group is the first d
+            # axes.
+            w, dd, _, w_inv = _smith(list(zip(*kernel)))
+            if any(dd[t][t] != 1 for t in range(d)):
                 raise RuntimeError("kernel lattice must be saturated")
-            w = tuple(tuple(int(x) for x in r) for r in u.rows)
-            w_inv = tuple(tuple(int(x) for x in r) for r in integer_inverse(u).rows)
         else:
             w = w_inv = _unit_vectors(n)
         w_inv_cols = tuple(zip(*w_inv))
@@ -602,8 +601,8 @@ def supported_in_chamber(fan: Fan, rd) -> bool:
 
 def _smith_diagonal(c: Cone) -> list:
     """The nonzero diagonal entries of the Smith normal form of the ray matrix."""
-    _, d, _ = smith_normal_form(Matrix(c.rays))
-    return [int(d[t, t]) for t in range(min(d.nrows, d.ncols)) if d[t, t]]
+    _, d, _, _ = _smith(c.rays)
+    return [row[t] for t, row in enumerate(d) if t < len(row) and row[t]]
 
 
 def cone_index(c: Cone) -> int:

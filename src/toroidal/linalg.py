@@ -4,15 +4,20 @@ Matrices are immutable tuples of tuples.  Entries may be ``Fraction`` or
 ``RatFun``; integer input is coerced to ``Fraction``.  Everything is exact:
 elimination never pivots for numerical stability, only for non-vanishing.
 
-The package has two eliminations.  ``_bareiss``, fraction-free on Python
-ints and on the integer polynomials of Z[eps], with rows cleared of
-denominators first, gives the integer rank (``_int_rank``, behind
-``integer_rank`` and the rank tests of ``cones``), ``Matrix.det``,
-``Matrix.inverse`` over Q and over Q(eps), the big-cell split of
-``chevalley.Pinning.ldu`` and the lattice reduction of ``cones``.
-``smith_normal_form`` uses unimodular operations only, so it keeps the
-lattice.  ``unitriangular_product`` and ``unitriangular_inverse`` compute
-only the triangle of a unitriangular result that can be nonzero.
+The package has two eliminations, ``_bareiss`` and ``_smith``.
+``_bareiss``, fraction-free on Python ints and on the integer polynomials
+of Z[eps], with rows cleared of denominators first, gives the integer rank
+(``_int_rank``, behind ``integer_rank`` and the rank tests of ``cones``),
+``Matrix.det``, ``Matrix.inverse`` over Q and over Q(eps), the big-cell
+split of ``chevalley.Pinning.ldu`` and the lattice reduction of ``cones``.
+``_smith``, the Smith reduction on int rows, uses unimodular operations
+only, so it keeps the lattice, and it returns U^-1 beside U, D and V, all
+as int rows.  ``cones`` and ``charts`` call it and ``_int_kernel`` on int
+rows; ``smith_normal_form`` and ``integer_kernel`` wrap them for
+``Matrix`` input.
+
+``unitriangular_product`` and ``unitriangular_inverse`` compute only the
+triangle of a unitriangular result that can be nonzero.
 
 ``@``, ``unitriangular_product`` and ``unitriangular_inverse`` form each
 entry on numerators and denominators (``_dot_q``): the sum keeps one
@@ -354,20 +359,29 @@ def _int_rows(m: Matrix):
     return [[int(x) for x in r] for r in m.rows]
 
 
-def smith_normal_form(m: Matrix):
-    """Return unimodular (U, D, V) with U @ m @ V == D diagonal.
+def _smith(rows):
+    """(U, D, V, U^-1) of the Smith reduction of a list of int rows A.
 
-    Diagonal entries are nonnegative and each divides the next.
+    U and V are unimodular with U @ A @ V == D diagonal; the diagonal
+    entries are nonnegative and each divides the next.  All four come back
+    as tuples of int rows.  Each row operation on U is mirrored on U^-1 as
+    the inverse column operation: a row swap swaps the same two columns,
+    row_dst += c row_src makes col_src -= c col_dst, and a negated row
+    negates its column (Cohen, *A Course in Computational Algebraic Number
+    Theory*, 2.4.4).
     """
-    a = _int_rows(m)
+    a = [list(r) for r in rows]
     nr = len(a)
     nc = len(a[0]) if a else 0
     u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
+    u_inv = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
     v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
         u[i], u[j] = u[j], u[i]
+        for row in u_inv:
+            row[i], row[j] = row[j], row[i]
 
     def swap_cols(i, j):
         for row in a:
@@ -376,9 +390,11 @@ def smith_normal_form(m: Matrix):
             row[i], row[j] = row[j], row[i]
 
     def add_row(src, dst, c):
-        # row_dst += c * row_src, mirrored in U
+        # row_dst += c * row_src, mirrored in U and, inverted, in U^-1
         a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
         u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
+        for row in u_inv:
+            row[src] -= c * row[dst]
 
     def add_col(src, dst, c):
         for row in a:
@@ -389,6 +405,8 @@ def smith_normal_form(m: Matrix):
     def negate_row(i):
         a[i] = [-x for x in a[i]]
         u[i] = [-x for x in u[i]]
+        for row in u_inv:
+            row[i] = -row[i]
 
     for t in range(min(nr, nc)):
         while True:
@@ -441,7 +459,16 @@ def smith_normal_form(m: Matrix):
     # off-diagonal entries must have been cleared
     if d != a:
         raise RuntimeError("Smith reduction failed to diagonalize")
-    return Matrix(u), Matrix(a), Matrix(v)
+    return tuple(tuple(map(tuple, m)) for m in (u, a, v, u_inv))
+
+
+def smith_normal_form(m: Matrix):
+    """Return unimodular (U, D, V) with U @ m @ V == D diagonal.
+
+    Diagonal entries are nonnegative and each divides the next.
+    """
+    u, d, v, _ = _smith(_int_rows(m))
+    return Matrix(u), Matrix(d), Matrix(v)
 
 
 def _bareiss(a):
@@ -503,19 +530,20 @@ def integer_rank(m: Matrix) -> int:
     return _int_rank(_int_rows(m))
 
 
+def _int_kernel(rows):
+    """``integer_kernel`` of a list of int rows: the columns of the V of
+    ``_smith`` at its zero or missing diagonal entries."""
+    _, d, v, _ = _smith(rows)
+    return tuple(col for j, col in enumerate(zip(*v)) if j >= len(d) or not d[j][j])
+
+
 def integer_kernel(m: Matrix):
     """Basis of the saturated lattice {x : m @ x == 0}, as a tuple of columns.
 
     The basis spans ker(m) over Q intersected with Z^n, so any integer
     solution is an integer combination of the returned vectors.
     """
-    _, d, v = smith_normal_form(m)
-    nr, nc = m.nrows, m.ncols
-    cols = []
-    for j in range(nc):
-        if j >= min(nr, nc) or d[j, j] == 0:
-            cols.append(tuple(int(v[i, j]) for i in range(nc)))
-    return tuple(cols)
+    return _int_kernel(_int_rows(m))
 
 
 def integer_inverse(m: Matrix) -> Matrix:

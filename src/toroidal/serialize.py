@@ -56,11 +56,15 @@ def load_root_datum(data: dict) -> RootDatum:
 
 def load_fan(data: dict, dim: int | None = None) -> Fan:
     """Build a fan from {"cones": [{"rays": [[...]]}]} JSON; faces are added."""
-    if not isinstance(data, dict) or "cones" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("cones"), list):
         raise ValueError('fan JSON needs a "cones" list')
     cones = []
     for entry in data["cones"]:
-        rays = entry["rays"] if isinstance(entry, dict) else entry
+        rays = entry.get("rays") if isinstance(entry, dict) else entry
+        if not isinstance(rays, list) or not all(isinstance(r, list) for r in rays):
+            raise ValueError(
+                'fan JSON needs a "cones" list of ray-vector lists or {"rays": [...]} objects'
+            )
         cones.append(Cone(rays, dim=dim))
     if dim is None:
         if not cones:

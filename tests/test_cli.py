@@ -218,6 +218,26 @@ def test_analyze_rejects_rays_of_wrong_dimension(tmp_path, capsys):
     assert "dimension 2" in err
 
 
+@pytest.mark.parametrize(
+    "fan, message",
+    [
+        ({"cones": 5}, 'fan JSON needs a "cones" list'),
+        ({"cones": [{"rays": 5}]}, 'fan JSON needs a "cones" list of ray-vector lists'),
+        ({"cones": [[1, 2]]}, 'fan JSON needs a "cones" list of ray-vector lists'),
+        ({"cones": [{"ray": [[1, 0]]}]}, 'fan JSON needs a "cones" list of ray-vector lists'),
+    ],
+)
+def test_analyze_rejects_a_malformed_fan(fan, message, tmp_path, capsys):
+    rd = tmp_path / "rd.json"
+    rd.write_text(json.dumps({"type": "A", "rank": 2}))
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(fan))
+    code, out, err = run_cli(analyze_args(rd, path, tmp_path / "r.json"), capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {message}")
+
+
 def test_hilbert_rejects_cone_with_a_line(capsys):
     code, out, err = run_cli(["hilbert", "--rays", "[[1,0],[-1,0]]"], capsys)
     assert code == 1

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from toroidal.cones import _rank
 from toroidal.linalg import (
     Matrix,
+    _smith,
     integer_inverse,
     integer_kernel,
     integer_rank,
@@ -270,6 +271,46 @@ def test_integer_inverse_rejects_nonunimodular():
     assert integer_inverse(Matrix([[1, 1], [0, 1]])) == Matrix([[1, -1], [0, 1]])
     with pytest.raises(ValueError):
         integer_inverse(Matrix([[2, 0], [0, 1]]))
+
+
+def _smith_cases(rng):
+    """Seeded integer matrices of every shape from 1x1 to 5x5: full, with a
+    zero row and a zero column, and of rank below min(rows, columns)."""
+    for nr in range(1, 6):
+        for nc in range(1, 6):
+            for _ in range(8):
+                yield [[rng.randint(-9, 9) for _ in range(nc)] for _ in range(nr)]
+                rows = [[rng.randint(-20, 20) for _ in range(nc)] for _ in range(nr)]
+                rows[rng.randrange(nr)] = [0] * nc
+                j = rng.randrange(nc)
+                for r in rows:
+                    r[j] = 0
+                yield rows
+                k = rng.randint(0, min(nr, nc) - 1)
+                left = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(nr)]
+                right = [[rng.randint(-4, 4) for _ in range(nc)] for _ in range(k)]
+                yield [[sum(a * b for a, b in zip(r, c)) for c in zip(*right)] for r in left]
+
+
+def _int_product(a, b):
+    return [[sum(x * y for x, y in zip(r, c)) for c in zip(*b)] for r in a]
+
+
+def test_smith_returns_the_inverse_of_u():
+    cases = 0
+    for rows in _smith_cases(random.Random(2401)):
+        u, d, v, u_inv = _smith(rows)
+        nr, nc = len(rows), len(rows[0])
+        for m in (u, d, v, u_inv):
+            assert type(m) is tuple
+            assert all(type(r) is tuple and all(type(x) is int for x in r) for r in m)
+        assert _int_product(_int_product(u, rows), v) == [list(r) for r in d], rows
+        identity = [[int(i == j) for j in range(nr)] for i in range(nr)]
+        assert _int_product(u, u_inv) == identity, rows
+        assert Matrix(u_inv) == integer_inverse(Matrix(u)), rows
+        assert all(d[i][j] == 0 for i in range(nr) for j in range(nc) if i != j)
+        cases += 1
+    assert cases == 25 * 8 * 3
 
 
 def test_primitive_vector():
