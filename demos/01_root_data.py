@@ -15,7 +15,10 @@ print("positive roots:", sorted(b for b in rd.roots if rd.is_positive_root(b)))
 w = rd.weyl
 print("\nWeyl group order:", w.order)
 print("longest word:", rd.longest_word(), "of length", w.longest.length)
-print("longest element sends e_0 to", tuple(w.longest.n_matrix @ (1, 0)))
+v = (1, 0)
+for i in reversed(rd.longest_word()):  # a word acts right-to-left
+    v = rd.reflect_cocharacter(i, v)
+print("longest element sends e_0 to", v)
 
 print("\nsimple reflection s_0 on cocharacters:")
 for v in [(1, 0), (0, 1), (1, 1)]:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cones import Cone, NotInMonoid, interior_cocharacter
-from .linalg import _int_kernel, _rational, dot
+from .linalg import _int_kernel, _int_vector, _rational, dot
 from .ratfun import RatFun, evaluate_at_zero
 
 __all__ = [
@@ -200,7 +200,7 @@ def identity_point(cone: Cone) -> ChartPoint:
 
 def limit_point(delta, cone: Cone) -> ChartPoint:
     """The boundary point lim_{eps->0} of the one-parameter curve of delta."""
-    delta = tuple(int(x) for x in delta)
+    delta = _int_vector(delta)
     pairings = {h: dot(h, delta) for h in cone.hilbert_basis}
     if any(v < 0 for v in pairings.values()):
         raise LimitDoesNotExist(f"{delta} is not in the cone")
@@ -230,7 +230,7 @@ def coweight_scale(p: ChartPoint, delta, scalar) -> ChartPoint:
     scalar = _as_scalar(scalar)
     if scalar == 0:
         raise ZeroScalar("coweight scaling needs an invertible scalar")
-    delta = tuple(int(x) for x in delta)
+    delta = _int_vector(delta)
     values = {h: _times_powers(v, ((scalar, dot(h, delta)),)) for h, v in p.values.items()}
     return ChartPoint._trusted(p.cone, values)
 

@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from fractions import Fraction
 from math import prod
 
 from .linalg import (
     _bareiss,
     _int_kernel,
     _int_rank as _rank,
+    _int_vector,
     _smith,
     dot,
     primitive_vector,
@@ -72,20 +72,6 @@ class InvalidFan(ValueError):
         self.violations = violations
 
 
-def _as_int_vector(v):
-    out = []
-    for x in v:
-        if isinstance(x, Fraction):
-            if x.denominator != 1:
-                raise ValueError(f"non-integer coordinate in {v}")
-            out.append(int(x))
-        elif isinstance(x, int) and not isinstance(x, bool):
-            out.append(x)
-        else:
-            raise ValueError(f"non-integer coordinate in {v}")
-    return tuple(out)
-
-
 def _unit_vectors(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
@@ -99,7 +85,7 @@ def generators_from_halfspaces(normals, dim):
     lineality basis is the saturated integer kernel of the normal matrix,
     and the rays are primitive, reduced modulo the lineality, and sorted.
     """
-    normals = [_as_int_vector(n) for n in normals]
+    normals = [_int_vector(n) for n in normals]
     normals = [n for n in normals if any(n)]
     lin = list(_unit_vectors(dim))
     rays: list = []
@@ -185,7 +171,7 @@ class Cone:
     """
 
     def __init__(self, rays, dim=None):
-        rays = [_as_int_vector(r) for r in rays]
+        rays = [_int_vector(r) for r in rays]
         if dim is None:
             if not rays:
                 raise ValueError("dimension required for the zero cone")
@@ -318,7 +304,7 @@ class Cone:
         is m.  A decomposition is memoized only once that sum is certified;
         a refusal is never memoized.
         """
-        m = _as_int_vector(m)
+        m = _int_vector(m)
         if len(m) != self.dim:
             raise ValueError("dimension mismatch")
         known = self._decomposed.get(m)
@@ -625,8 +611,8 @@ def orbit_fan(fan: Fan, weyl) -> Fan:
     moved = []
     for w in weyl.elements:
         for c in maximal:
-            rays = [tuple(int(x) for x in (w.n_matrix @ r)) for r in c.rays]
-            moved.append(Cone(rays, fan.dim))
+            # Cone refuses a non-integer image coordinate rather than rounding it
+            moved.append(Cone([w.n_matrix @ r for r in c.rays], fan.dim))
     return Fan(moved, fan.dim)
 
 

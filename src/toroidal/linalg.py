@@ -16,6 +16,10 @@ as int rows.  ``cones`` and ``charts`` call it and ``_int_kernel`` on int
 rows; ``smith_normal_form`` and ``integer_kernel`` wrap them for
 ``Matrix`` input.
 
+``_int_vector`` decides, for the whole package, what an integer vector is:
+ints and Fractions of denominator 1 become a tuple of ints, and anything else
+(a bool, a float, a proper fraction) is refused, never rounded.
+
 ``unitriangular_product`` and ``unitriangular_inverse`` compute only the
 triangle of a unitriangular result that can be nonzero.
 
@@ -132,16 +136,26 @@ def _dot_q(u, v, sign=1):
     return _rational(sign * n, d)
 
 
+def _int_vector(v):
+    """v as a tuple of ints, or ValueError if a coordinate is not an int
+    (a bool is not) or a Fraction with denominator 1."""
+    out = []
+    for x in v:
+        if type(x) is int:
+            out.append(x)
+        elif isinstance(x, (int, Fraction)) and not isinstance(x, bool) and x.denominator == 1:
+            out.append(x.numerator)
+        else:
+            raise ValueError(f"non-integer coordinate in {v}")
+    return tuple(out)
+
+
 def primitive_vector(v):
     """Divide an integer vector by the gcd of its entries (zero stays zero)."""
-    ints = [int(x) for x in v]
-    if any(ints[i] != v[i] for i in range(len(v))):
-        raise ValueError(f"not an integer vector: {v}")
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+    ints = _int_vector(v)
+    g = gcd(*ints)
     if g <= 1:
-        return tuple(ints)
+        return ints
     return tuple(x // g for x in ints)
 
 

@@ -11,6 +11,9 @@ Conventions, fixed once for the whole package:
 - A word (j_1, ..., j_m) denotes the product s_{j_1} s_{j_2} ... s_{j_m},
   applied to vectors right-to-left; reflection matrices accumulate by left
   multiplication in the same order.  Simple roots are indexed from 0.
+- Simple roots are int tuples, the columns of the Cartan rows, and s_i acts
+  on N and on M in closed form on ``linalg._int_vector`` input (Humphreys,
+  *Reflection Groups and Coxeter Groups*, 1.1), so nothing is rounded.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .linalg import Matrix, dot
+from .linalg import Matrix, _int_vector, dot
 
 __all__ = [
     "NotFiniteType",
@@ -126,11 +129,10 @@ class RootDatum:
                         raise ValueError("zero pattern must be symmetric")
         self.rank = l
         self.cartan = Matrix(rows)
+        self._simple_roots = tuple(zip(*rows))
         if self.cartan.det() == 0:
             raise NotFiniteType("singular Cartan matrix")
         self._cartan_inv = self.cartan.inverse()
-        self._n_refl = tuple(self._build_n_reflection(i) for i in range(l))
-        self._m_refl = tuple(m.transpose() for m in self._n_refl)
         self.roots = self._close_roots()
         self.positive_roots = tuple(
             b for b in self.roots if self._is_positive(b)
@@ -160,7 +162,7 @@ class RootDatum:
     def simple_root(self, i: int):
         """The i-th simple root in M-coordinates (column i of Cartan)."""
         self._check_index(i)
-        return tuple(int(self.cartan[j, i]) for j in range(self.rank))
+        return self._simple_roots[i]
 
     def simple_coroot(self, i: int):
         self._check_index(i)
@@ -192,21 +194,20 @@ class RootDatum:
 
     # -- reflections --------------------------------------------------------
 
-    def _build_n_reflection(self, i: int) -> Matrix:
-        l = self.rank
-        rows = [[1 if r == c else 0 for c in range(l)] for r in range(l)]
-        for c in range(l):
-            rows[i][c] -= int(self.cartan[c, i])
-        return Matrix(rows)
-
     def reflect_cocharacter(self, i: int, v):
-        out = self._n_refl[i] @ tuple(v)
-        return tuple(int(x) for x in out)
+        """s_i(v) = v - <alpha_i, v> alpha_i_vee."""
+        self._check_index(i)
+        v = _int_vector(v)
+        k = dot(self._simple_roots[i], v)
+        return v[:i] + (v[i] - k,) + v[i + 1 :]
 
     def reflect_character(self, i: int, m):
+        """s_i(m) = m - <m, alpha_i_vee> alpha_i."""
         self._check_index(i)
-        out = self._m_refl[i] @ tuple(m)
-        return tuple(int(x) for x in out)
+        m, alpha = _int_vector(m), self._simple_roots[i]
+        if len(m) != len(alpha):
+            raise ValueError(f"{m} is not a character of rank {self.rank}")
+        return tuple(x - m[i] * a for x, a in zip(m, alpha))
 
     # -- roots ---------------------------------------------------------------
 
@@ -265,15 +266,21 @@ class RootDatum:
     def _build_weyl(self) -> WeylGroup:
         l = self.rank
         ident = WeylElement((), Matrix.identity(l), Matrix.identity(l))
+        # s_i on M has the images of the unit vectors under s_i on N as rows
+        m_refl = [
+            Matrix([self.reflect_cocharacter(i, e) for e in ident.n_matrix.rows])
+            for i in range(l)
+        ]
+        n_refl = [m.transpose() for m in m_refl]
         seen = {ident.n_matrix: ident}
         queue = deque([ident])
         while queue:
             w = queue.popleft()
             for i in range(l):
-                n_mat = self._n_refl[i] @ w.n_matrix
+                n_mat = n_refl[i] @ w.n_matrix
                 if n_mat in seen:
                     continue
-                elt = WeylElement((i,) + w.word, n_mat, self._m_refl[i] @ w.m_matrix)
+                elt = WeylElement((i,) + w.word, n_mat, m_refl[i] @ w.m_matrix)
                 seen[n_mat] = elt
                 queue.append(elt)
                 if len(seen) > WEYL_MAX:

@@ -41,7 +41,9 @@ def load_root_datum(data: dict) -> RootDatum:
         if "type" in data or "rank" in data:
             raise ValueError('root datum names both "cartan_matrix" and "type"/"rank"')
         cartan = data["cartan_matrix"]
-        if isinstance(cartan, list) and len(cartan) > MAX_DIM:
+        if not isinstance(cartan, list) or not all(isinstance(r, list) for r in cartan):
+            raise ValueError('"cartan_matrix" must be a list of integer rows')
+        if len(cartan) > MAX_DIM:
             raise ValueError(f"rank must be at most {MAX_DIM}, got {len(cartan)}")
         return RootDatum(cartan)
     if "type" in data and "rank" in data:
@@ -73,16 +75,7 @@ def load_fan(data: dict, dim: int | None = None) -> Fan:
     return Fan(cones, dim)
 
 
-def _jsonable(obj):
-    if isinstance(obj, Fraction):
-        return rational_str(obj)
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
-
-
 def dumps_report(report) -> str:
-    """Deterministic rendering: sorted keys, two-space indent, one newline."""
-    return json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"
+    """Deterministic rendering: sorted keys, two-space indent, one newline;
+    a Fraction at any depth renders as ``rational_str``."""
+    return json.dumps(report, sort_keys=True, indent=2, default=rational_str) + "\n"

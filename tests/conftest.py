@@ -39,6 +39,7 @@ from toroidal.linalg import (
     smith_normal_form,
 )
 from toroidal.ratfun import PoleAtZero, _cleared
+from toroidal.rootdata import WeylElement, WeylGroup
 
 
 def _rays_by_double_description(rays, dim):
@@ -128,6 +129,41 @@ def _splitting_by_fraction_matrices(cone: Cone):
     facets = tuple(sorted({primitive_vector((r @ w_inv)[d:]) for r in cone.rays}))
     extreme = tuple(sorted({primitive_vector(quotient(g)) for g in cone.dual_rays}))
     return (group_basis, unit_rows, quotient, lift, facets, extreme, q_dim)
+
+
+def _n_reflection_matrix(rd, i: int) -> Matrix:
+    """s_i on N as a matrix: the identity with alpha_i (column i of the
+    Cartan matrix) subtracted from row i.
+
+    ``RootDatum`` built these matrices, and their transposes for M, before
+    the reflections became closed forms on int vectors; kept as a reference.
+    """
+    l = rd.rank
+    rows = [[1 if r == c else 0 for c in range(l)] for r in range(l)]
+    for c in range(l):
+        rows[i][c] -= int(rd.cartan[c, i])
+    return Matrix(rows)
+
+
+def _weyl_by_reflection_matrices(rd) -> WeylGroup:
+    """The Weyl group enumerated breadth first by left products of the
+    ``_n_reflection_matrix`` matrices and their transposes, as
+    ``RootDatum._build_weyl`` did before it read them off the closed forms."""
+    l = rd.rank
+    n_refl = [_n_reflection_matrix(rd, i) for i in range(l)]
+    m_refl = [m.transpose() for m in n_refl]
+    ident = WeylElement((), Matrix.identity(l), Matrix.identity(l))
+    seen = {ident.n_matrix: ident}
+    queue = collections.deque([ident])
+    while queue:
+        w = queue.popleft()
+        for i in range(l):
+            n_mat = n_refl[i] @ w.n_matrix
+            if n_mat not in seen:
+                seen[n_mat] = WeylElement((i,) + w.word, n_mat, m_refl[i] @ w.m_matrix)
+                queue.append(seen[n_mat])
+    elements = sorted(seen.values(), key=lambda e: (e.length, e.word))
+    return WeylGroup(elements, elements[-1])
 
 
 def _pointed_hilbert_by_pairs(facets, extreme, dim):
@@ -996,6 +1032,16 @@ def reflect_simple_by_coordinates():
 @pytest.fixture(scope="session")
 def reflect_simple_by_products():
     return _reflect_simple_by_products
+
+
+@pytest.fixture(scope="session")
+def n_reflection_matrix():
+    return _n_reflection_matrix
+
+
+@pytest.fixture(scope="session")
+def weyl_by_reflection_matrices():
+    return _weyl_by_reflection_matrices
 
 
 @pytest.fixture(scope="session")

@@ -134,6 +134,14 @@ def test_serialization_roundtrip():
     assert parsed["chart_count"] == 4
 
 
+def test_report_renders_nested_fractions():
+    report = {"b": (Fraction(1, 2), [Fraction(-3), {"c": Fraction(4, 6)}]), "a": Fraction(0)}
+    assert dumps_report(report) == (
+        '{\n  "a": "0",\n  "b": [\n    "1/2",\n    [\n      "-3",\n'
+        '      {\n        "c": "2/3"\n      }\n    ]\n  ]\n}\n'
+    )
+
+
 def test_load_root_datum_forms():
     rd = load_root_datum({"type": "A", "rank": 2})
     assert rd.rank == 2

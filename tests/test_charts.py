@@ -97,6 +97,17 @@ def test_limit_point_inside_and_outside():
             limit_point(outward, cone)
 
 
+def test_limit_point_refuses_a_proper_fraction():
+    # (1/2, 1) used to be truncated to (0, 1)
+    with pytest.raises(ValueError, match="non-integer coordinate"):
+        limit_point((Fraction(1, 2), 1), Cone([(1, 0), (0, 1)]))
+
+
+def test_limit_point_accepts_integral_fractions():
+    cone = Cone([(1, 0), (0, 1)])
+    assert limit_point((Fraction(2), Fraction(0)), cone) == limit_point((2, 0), cone)
+
+
 def test_limit_on_proper_face_is_not_closed_orbit():
     p = limit_point((-1, 0), WEDGE)
     assert not in_closed_orbit(p)
@@ -287,6 +298,14 @@ def test_coweight_scale_frozen_and_composes():
     assert r1 == r2
     with pytest.raises(ZeroScalar):
         coweight_scale(p, (1,), Fraction(0))
+
+
+def test_coweight_scale_refuses_a_proper_fraction():
+    # (1/2, 0) used to be truncated to (0, 0), which returned p unscaled
+    p = identity_point(Cone([(1, 0), (0, 1)]))
+    with pytest.raises(ValueError, match="non-integer coordinate"):
+        coweight_scale(p, (Fraction(1, 2), 0), 5)
+    assert coweight_scale(p, (Fraction(1), 0), 5) == coweight_scale(p, (1, 0), 5)
 
 
 def test_chart_inclusion_agrees_on_torus():

@@ -333,6 +333,17 @@ def test_analyze_rejects_conflicting_root_datum_keys(root, tmp_path, capsys):
     assert "cartan_matrix" in err
 
 
+@pytest.mark.parametrize("cartan", [5, [5], [[2, -1], 5], {"a": 1}, "[[2]]"])
+def test_analyze_rejects_a_cartan_matrix_that_is_not_a_list_of_rows(cartan, tmp_path, capsys):
+    # 5, [5] and [[2,-1],5] used to print "'int' object is not iterable",
+    # and {"a": 1} "Cartan matrix diagonal must be 2"
+    rd = tmp_path / "rd.json"
+    rd.write_text(json.dumps({"cartan_matrix": cartan}))
+    code, _, err = run_cli(analyze_args(rd, "fan_wedge.json", tmp_path / "r.json"), capsys)
+    assert code == 1
+    assert err == 'error: "cartan_matrix" must be a list of integer rows\n'
+
+
 @pytest.mark.parametrize("letter", [1, None, ["A"], {"A": 1}])
 def test_analyze_rejects_a_type_that_is_not_a_string(letter, tmp_path, capsys):
     rd = tmp_path / "rd.json"

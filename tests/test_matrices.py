@@ -318,6 +318,18 @@ def test_primitive_vector():
     assert primitive_vector((0, 5)) == (0, 1)
 
 
+def test_primitive_vector_refuses_bools_and_floats():
+    # True and 2.0 used to pass as 1 and 2
+    for v in ((True, 2), (2.0, 4), (Fraction(1, 2), 1)):
+        with pytest.raises(ValueError, match="non-integer coordinate"):
+            primitive_vector(v)
+
+
+def test_primitive_vector_accepts_integral_fractions():
+    out = primitive_vector((Fraction(4), Fraction(-6, 1), 0))
+    assert out == (2, -3, 0) and all(type(x) is int for x in out)
+
+
 @settings(max_examples=150, deadline=None)
 @given(int_matrices())
 def test_snf_certificate_and_divisors(m):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -137,6 +138,8 @@ def test_simple_index_outside_the_rank_is_refused():
             lambda: rd.simple_root(i),
             lambda: rd.simple_coroot(i),
             lambda: rd.reflect_character(i, (1, 0)),
+            # reflect_cocharacter had no check: -1 meant 1, and 2 raised IndexError
+            lambda: rd.reflect_cocharacter(i, (1, 0)),
         ):
             with pytest.raises(ValueError, match=f"simple index {i} .*range\\(2\\)"):
                 call()
@@ -166,3 +169,64 @@ def test_library_root_data_above_the_fan_dimension_stay_valid():
     rd = RootDatum.of_type("A", 5)
     assert rd.rank == 5 and len(rd.roots) == 30
     assert cartan_matrix_of_type("d", 5)[2][3:] == [-1, -1]
+
+
+TYPES = [
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
+    ("C", 3), ("C", 4), ("D", 4), ("G", 2),
+]
+
+
+@pytest.mark.parametrize("letter, rank", TYPES)
+def test_closed_form_reflections_match_the_reflection_matrices(letter, rank, n_reflection_matrix):
+    rd = RootDatum.of_type(letter, rank)
+    rng = random.Random(rank * 31 + ord(letter))
+    vectors = [tuple(rng.randint(-9, 9) for _ in range(rank)) for _ in range(20)]
+    for i in range(rank):
+        n_refl = n_reflection_matrix(rd, i)
+        m_refl = n_refl.transpose()
+        for beta in rd.roots + tuple(vectors):
+            image = rd.reflect_character(i, beta)
+            assert image == m_refl @ beta and all(type(x) is int for x in image)
+        for v in vectors:
+            image = rd.reflect_cocharacter(i, v)
+            assert image == n_refl @ v and all(type(x) is int for x in image)
+
+
+@pytest.mark.parametrize("letter, rank", TYPES)
+def test_weyl_group_matches_the_reflection_matrix_enumeration(
+    letter, rank, weyl_by_reflection_matrices
+):
+    rd = RootDatum.of_type(letter, rank)
+    oracle = weyl_by_reflection_matrices(rd)
+    assert rd.weyl.elements == oracle.elements
+    assert rd.weyl.longest == oracle.longest
+    # every root is W-conjugate to a simple root
+    simple = [rd.simple_root(i) for i in range(rank)]
+    orbit = {tuple(w.m_matrix @ a) for w in oracle.elements for a in simple}
+    assert orbit == set(rd.roots)
+
+
+def test_reflections_refuse_a_non_integer_coordinate():
+    # (1/2, 0) used to be truncated to (0, 0): reflect_character returned (0, 0)
+    rd = RootDatum.of_type("A", 2)
+    for reflect in (rd.reflect_cocharacter, rd.reflect_character):
+        for v in ((Fraction(1, 2), 0), (True, 0), (1.0, 0)):
+            with pytest.raises(ValueError, match="non-integer coordinate"):
+                reflect(0, v)
+
+
+def test_reflections_accept_integral_fractions_and_return_ints():
+    rd = RootDatum.of_type("A", 2)
+    for reflect in (rd.reflect_cocharacter, rd.reflect_character):
+        image = reflect(0, (Fraction(2), Fraction(-1)))
+        assert image == reflect(0, (2, -1))
+        assert all(type(x) is int for x in image)
+
+
+def test_reflections_refuse_a_vector_of_the_wrong_length():
+    rd = RootDatum.of_type("A", 2)
+    for reflect in (rd.reflect_cocharacter, rd.reflect_character):
+        for v in ((1,), (1, 0, 0)):
+            with pytest.raises(ValueError):
+                reflect(1, v)
